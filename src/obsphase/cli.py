@@ -12,6 +12,8 @@ import itertools
 import json
 import os
 import sys
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,31 +25,25 @@ from .errors import (
     ObsphaseError,
     ScenarioError,
 )
-from .gates import GateSpec, cnot_equivalence, two_loop_protocol, two_qubit_gate, u_phi_beta
-from .hamiltonians import (
-    make_constant_z,
-    make_quadratic_warp,
-    make_rotating,
-    make_tabulated,
-    make_two_loop,
+from .gates import (
+    GateSpec,
+    cnot_equivalence,
+    cyclic_tilt,
+    read_two_loop_gate,
+    rotating_problem,
+    tilted_observable,
+    two_loop_protocol,  # unused here; the benchmark's tracer wraps cli.two_loop_protocol
+    two_qubit_gate,
+    u_phi_beta,
 )
+from .hamiltonians import make_constant_z, make_quadratic_warp, make_tabulated
 from .linalg import sigma_x, sigma_y, sigma_z
 from .obspace import OrthDecomposition, from_observable, random_gauge
-from .phases import circular_distance, detect_cyclic, geometric_phases, wrap_angle
+from .phases import CYCLIC_TOL, circular_distance, detect_cyclic, geometric_phases, wrap_angle
 from .propagation import DEFAULT_STEPS, solve
 
 TWO_PI = 2 * np.pi
 
-_SYSTEMS = {
-    "constant-field": {"required": ("mu_B", "phi"), "optional": ("T", "steps")},
-    "rotating-field": {"required": ("w0", "w1", "w"), "optional": ("steps",)},
-    "two-loop": {"required": ("w0", "w1", "w"), "optional": ("steps",)},
-    "two-qubit-cnot": {
-        "required": (),
-        "optional": ("phi0", "beta0", "phi1", "beta1"),
-    },
-    "custom-tabulated": {"required": (), "optional": ("steps",)},
-}
 _CHECKS = ("reparameterization", "gauge-start", "reference-frame")
 _OUTPUT_KINDS = ("report", "curve_csv", "bloch_csv")
 _TOP_KEYS = ("schema", "name", "system", "params", "checks", "outputs", "schedule", "observable")
@@ -142,18 +138,18 @@ def validate_scenario(raw):
         "/system",
         f"expected one of {', '.join(sorted(_SYSTEMS))}",
     )
-    allowed = _SYSTEMS[system]
+    spec = _SYSTEMS[system]
 
     params = raw.get("params", {})
     _want(isinstance(params, dict), "/params", "expected an object")
     for key, value in params.items():
         _want(
-            key in allowed["required"] or key in allowed["optional"],
+            key in spec.required + spec.optional,
             f"/params/{key}",
             f"unknown parameter for system {system}",
         )
         _want(_is_real(value), f"/params/{key}", "expected a number")
-    for key in allowed["required"]:
+    for key in spec.required:
         _want(key in params, f"/params/{key}", f"required by system {system}")
 
     if "steps" in params:
@@ -164,28 +160,25 @@ def validate_scenario(raw):
             "expected an integer >= 8",
         )
         params["steps"] = int(steps)
-    if system == "constant-field":
-        _want(params["mu_B"] != 0, "/params/mu_B", "field must be nonzero")
-        _want(params.get("T", 1.0) > 0, "/params/T", "duration must be positive")
-    if system in ("rotating-field", "two-loop"):
-        _want(params["w"] != 0, "/params/w", "drive frequency must be nonzero")
+    if spec.nonzero:
+        _want(params[spec.nonzero] != 0, f"/params/{spec.nonzero}", "must be nonzero")
+    _want(params.get("T", 1.0) > 0, "/params/T", "duration must be positive")
 
     checks = raw.get("checks", [])
     _want(isinstance(checks, list), "/checks", "expected a list")
     for i, c in enumerate(checks):
         _want(c in _CHECKS, f"/checks/{i}", f"expected one of {', '.join(_CHECKS)}")
-        if c == "reparameterization":
-            # the quadratic warp moves jump times off every uniform grid
-            _want(
-                system != "two-loop",
-                f"/checks/{i}",
-                "reparameterization needs a jump-free schedule",
-            )
+        # the quadratic warp moves jump times off every uniform grid
+        _want(
+            c != "reparameterization" or not spec.jumps,
+            f"/checks/{i}",
+            "reparameterization needs a jump-free schedule",
+        )
     _want(
         len(set(checks)) == len(checks), "/checks", "duplicate entries"
     )
-    if system == "two-qubit-cnot":
-        _want(not checks, "/checks", "no evolution to check for system two-qubit-cnot")
+    if spec.build is None:
+        _want(not checks, "/checks", f"no evolution to check for system {system}")
 
     outputs = raw.get("outputs", ["report"])
     _want(isinstance(outputs, list) and outputs, "/outputs", "expected a non-empty list")
@@ -195,8 +188,8 @@ def validate_scenario(raw):
             f"/outputs/{i}",
             f"expected one of {', '.join(_OUTPUT_KINDS)}",
         )
-        if system == "two-qubit-cnot":
-            _want(o == "report", f"/outputs/{i}", "only report is available for system two-qubit-cnot")
+        if spec.build is None:
+            _want(o == "report", f"/outputs/{i}", f"only report is available for system {system}")
     _want(len(set(outputs)) == len(outputs), "/outputs", "duplicate entries")
 
     sc = {
@@ -277,42 +270,65 @@ def _scenario_echo(sc):
 # ------------------------------------------------------------------ pipeline
 
 
-def _tilt_observable(phi):
-    return -(np.sin(phi) * sigma_x + np.cos(phi) * sigma_z)
+def _constant_field(sc, steps):
+    params = sc["params"]
+    T = params.get("T", TWO_PI / abs(params["mu_B"]))
+    return make_constant_z(params["mu_B"]), T, tilted_observable(params["phi"]), steps
 
 
-def _rotating_tilt(w0, w1, w):
-    r = np.hypot(w0, w1 + w)
-    return 2 * np.arctan2(w0, w1 + w + r)
+def _rotating(sc, steps, two_loop=False):
+    params = sc["params"]
+    return rotating_problem(params["w0"], params["w1"], params["w"], steps, two_loop)
+
+
+def _tabulated(sc, steps):
+    times = sc["_times"]
+    return make_tabulated(times, sc["_samples"]), float(times[-1]), sc["_X0"], steps
+
+
+def _two_loop_gate(report, sc, p, phase_report):
+    params = sc["params"]
+    phi = cyclic_tilt(params["w0"], params["w1"], params["w"])
+    gate, fit = read_two_loop_gate(p, phase_report, phi)
+    fitted = u_phi_beta(fit)
+    report["gates"]["two-loop"] = _matrix_json(gate)
+    report["gates"]["fitted"] = _matrix_json(fitted)
+    report["gate_fit"] = {"phi": _round12(fit.phi), "beta": _round12(fit.beta)}
+    report["residuals"]["dynamical_cancellation"] = _round12(
+        np.max(np.abs(phase_report.gamma))
+    )
+    report["residuals"]["gate_reconstruction"] = _round12(np.linalg.norm(gate - fitted))
+
+
+class _System(NamedTuple):
+    """One system: its params, the param that must be nonzero, build(sc,
+    steps) -> (schedule, T, X0, steps) or None when nothing evolves,
+    gate(report, sc, p, phase_report) adding the gate read off the solved
+    propagator, and whether the schedule jumps (so it cannot be warped)."""
+
+    required: tuple
+    optional: tuple = ("steps",)
+    nonzero: str = None
+    build: Callable = None
+    gate: Callable = None
+    jumps: bool = False
+
+
+_SYSTEMS = {
+    "constant-field": _System(("mu_B", "phi"), ("T", "steps"), "mu_B", _constant_field),
+    "rotating-field": _System(("w0", "w1", "w"), nonzero="w", build=_rotating),
+    "two-loop": _System(
+        ("w0", "w1", "w"), nonzero="w", build=partial(_rotating, two_loop=True), gate=_two_loop_gate, jumps=True
+    ),
+    "two-qubit-cnot": _System((), ("phi0", "beta0", "phi1", "beta1")),
+    "custom-tabulated": _System((), build=_tabulated),
+}
 
 
 def _build_problem(sc, steps_override):
-    """Schedule, duration, observable and step count for the evolving
-    systems (everything except two-qubit-cnot)."""
-    params = sc["params"]
-    steps = steps_override or params.get("steps", DEFAULT_STEPS)
-    system = sc["system"]
-    if system == "constant-field":
-        h = make_constant_z(params["mu_B"])
-        T = params.get("T", TWO_PI / abs(params["mu_B"]))
-        X0 = _tilt_observable(params["phi"])
-    elif system == "rotating-field":
-        h = make_rotating(params["w0"], params["w1"], params["w"])
-        T = TWO_PI / params["w"]
-        X0 = _tilt_observable(_rotating_tilt(params["w0"], params["w1"], params["w"]))
-    elif system == "two-loop":
-        T1 = TWO_PI / params["w"]
-        h = make_two_loop(make_rotating(params["w0"], params["w1"], params["w"]), T1)
-        T = 2 * T1
-        steps += steps % 2  # reversal point must sit on the grid
-        X0 = _tilt_observable(_rotating_tilt(params["w0"], params["w1"], params["w"]))
-    elif system == "custom-tabulated":
-        h = make_tabulated(sc["_times"], sc["_samples"])
-        T = float(sc["_times"][-1])
-        X0 = sc["_X0"]
-    else:
-        raise ScenarioError("/system", f"system {system} has no evolution pipeline")
-    return h, T, X0, int(steps)
+    """Schedule, duration, observable and step count of an evolving system."""
+    steps = steps_override or sc["params"].get("steps", DEFAULT_STEPS)
+    return _SYSTEMS[sc["system"]].build(sc, int(steps))
 
 
 def _multiset_gap(a, b):
@@ -412,60 +428,39 @@ def _write_curve_csv(path, p, X0, bloch_only=False):
             f.write(",".join(_fmt(v) for v in r) + "\n")
 
 
+def _fill_cnot(report, params):
+    spec0 = GateSpec(params.get("phi0", np.pi / 2), params.get("beta0", 0.0))
+    spec1 = GateSpec(params.get("phi1", np.pi / 2), params.get("beta1", np.pi / 2))
+    U = two_qubit_gate(spec0, spec1)
+    equivalent, alpha = cnot_equivalence(U)
+    target = np.zeros((4, 4), dtype=complex)
+    target[:2, :2] = np.eye(2)
+    target[2:, 2:] = np.exp(1j * alpha) * np.array([[0, 1], [1, 0]])
+    report["gates"]["cnot"] = _matrix_json(U)
+    report["residuals"]["cnot_deviation"] = _round12(np.linalg.norm(U - target))
+    report["cnot"] = {"equivalent": bool(equivalent), "target_phase": _round12(alpha)}
+
+
 def run_scenario(sc, out_dir=".", steps=None, tol=None):
     """Execute a validated scenario and write its artifacts. Returns the
     list of paths written."""
     os.makedirs(out_dir, exist_ok=True)
     name = sc["name"]
     report = _base_report(sc)
-    system = sc["system"]
-    curve_args = None
+    system = _SYSTEMS[sc["system"]]
 
-    if system == "two-qubit-cnot":
-        params = sc["params"]
-        spec0 = GateSpec(params.get("phi0", np.pi / 2), params.get("beta0", 0.0))
-        spec1 = GateSpec(params.get("phi1", np.pi / 2), params.get("beta1", np.pi / 2))
-        U = two_qubit_gate(spec0, spec1)
-        equivalent, alpha = cnot_equivalence(U)
-        target = np.zeros((4, 4), dtype=complex)
-        target[:2, :2] = np.eye(2)
-        target[2:, 2:] = np.exp(1j * alpha) * np.array([[0, 1], [1, 0]])
-        report["gates"]["cnot"] = _matrix_json(U)
-        report["residuals"]["cnot_deviation"] = _round12(np.linalg.norm(U - target))
-        report["cnot"] = {"equivalent": bool(equivalent), "target_phase": _round12(alpha)}
-    elif system == "two-loop":
-        params = sc["params"]
-        n = steps or params.get("steps", DEFAULT_STEPS)
-        gate, phase_report, fit = two_loop_protocol(
-            params["w0"], params["w1"], params["w"], steps=n
-        )
-        fitted = u_phi_beta(fit)
-        _fill_phase_fields(report, phase_report)
-        report["gates"]["two-loop"] = _matrix_json(gate)
-        report["gates"]["fitted"] = _matrix_json(fitted)
-        report["gate_fit"] = {"phi": _round12(fit.phi), "beta": _round12(fit.beta)}
-        report["residuals"]["dynamical_cancellation"] = _round12(
-            np.max(np.abs(phase_report.gamma))
-        )
-        report["residuals"]["gate_reconstruction"] = _round12(
-            np.linalg.norm(gate - fitted)
-        )
-        if any(o != "report" for o in sc["outputs"]) or sc["checks"]:
-            h, T, X0, n = _build_problem(sc, steps)
-            p = solve(h, T, steps=n)
-            curve_args = (p, X0)
-            report["residuals"].update(
-                _invariance_residuals(sc, p, h, T, X0, n, phase_report)
-            )
+    if system.build is None:
+        _fill_cnot(report, sc["params"])
     else:
         h, T, X0, n = _build_problem(sc, steps)
         p = solve(h, T, steps=n)
-        phase_report = geometric_phases(p, h, X0, tol=tol if tol else 1e-6)
+        phase_report = geometric_phases(p, h, X0, tol=CYCLIC_TOL if tol is None else tol)
         _fill_phase_fields(report, phase_report)
+        if system.gate:
+            system.gate(report, sc, p, phase_report)
         report["residuals"].update(
             _invariance_residuals(sc, p, h, T, X0, n, phase_report)
         )
-        curve_args = (p, X0)
 
     artifacts = []
     for kind in sc["outputs"]:
@@ -476,10 +471,10 @@ def run_scenario(sc, out_dir=".", steps=None, tol=None):
                 f.write("\n")
         elif kind == "curve_csv":
             path = os.path.join(out_dir, f"{name}-curve.csv")
-            _write_curve_csv(path, *curve_args)
+            _write_curve_csv(path, p, X0)
         else:
             path = os.path.join(out_dir, f"{name}-bloch.csv")
-            _write_curve_csv(path, *curve_args, bloch_only=True)
+            _write_curve_csv(path, p, X0, bloch_only=True)
         artifacts.append(path)
     return artifacts
 
@@ -512,28 +507,21 @@ def _parse_range(spec):
 def sweep_scenario(sc, param, values, out_dir=".", steps=None, tol=None):
     """Rerun the scenario once per parameter value and tabulate the
     geometric phases. Non-cyclic rows are marked, not fatal."""
-    system = sc["system"]
-    allowed = _SYSTEMS[system]
+    system = _SYSTEMS[sc["system"]]
+    _want(system.build is not None, "/system", "sweep needs an evolving system")
     _want(
-        system != "two-qubit-cnot",
-        "/system",
-        "sweep needs an evolving system",
-    )
-    _want(
-        param != "steps"
-        and (param in allowed["required"] or param in allowed["optional"]),
+        param != "steps" and param in system.required + system.optional,
         f"/params/{param}",
-        f"not a sweepable parameter of system {system}",
+        f"not a sweepable parameter of system {sc['system']}",
     )
-
     _want(
-        param not in ("mu_B", "w") or all(v != 0 for v in values),
+        param != system.nonzero or all(v != 0 for v in values),
         f"/params/{param}",
         "sweep range crosses zero frequency",
     )
 
     os.makedirs(out_dir, exist_ok=True)
-    dim = 2 if system != "custom-tabulated" else sc["_X0"].shape[0]
+    dim = sc["_X0"].shape[0] if "_X0" in sc else 2
 
     path = os.path.join(out_dir, f"{sc['name']}-sweep-{param}.csv")
     header = (
@@ -547,12 +535,12 @@ def sweep_scenario(sc, param, values, out_dir=".", steps=None, tol=None):
             row_sc = dict(sc, params=dict(sc["params"], **{param: float(value)}))
             h, T, X0, n = _build_problem(row_sc, steps)
             p = solve(h, T, steps=n)
-            cyc = detect_cyclic(p, X0, tol=tol if tol else 1e-6)
+            cyc = detect_cyclic(p, X0, tol=CYCLIC_TOL if tol is None else tol)
             if not cyc.is_cyclic:
                 cells = [_fmt(value)] + ["nan"] * (dim + 1)
                 cells += [_fmt(cyc.residual), "not-cyclic"]
             else:
-                r = geometric_phases(p, h, X0, tol=tol if tol else 1e-6)
+                r = geometric_phases(p, h, X0, tol=CYCLIC_TOL if tol is None else tol)
                 cells = [_fmt(value)]
                 cells += [_fmt(b) for b in r.beta]
                 cells += [_fmt(r.cross_residual), _fmt(r.cyclicity_residual), "ok"]

@@ -83,35 +83,60 @@ def cnot_equivalence(U, tol=1e-8):
     return bool(ok), alpha
 
 
-def two_loop_protocol(w0, w1, w, steps=4096):
-    """Drive the rotating-field loop and then its time-and-field-reversed
-    copy, so every dynamical phase cancels, and read the resulting gate.
-
-    Returns (gate, report, spec): the simulated U(2T, 0), the phase
-    report of the double loop, and the fitted GateSpec whose tilt is the
-    cyclic-observable angle and whose beta is read from the matched
-    eigen-overlaps of the gate (the same phase reading detect_cyclic
-    uses).
-    """
-    T = TWO_PI / w
-    steps = int(steps) + int(steps) % 2  # the reversal point must sit on the grid
-    h2 = make_two_loop(make_rotating(w0, w1, w), T)
-    p = solve(h2, 2 * T, steps=steps)
-
+def cyclic_tilt(w0, w1, w):
+    """Tilt from the z axis of the observable that one period of the
+    rotating field returns to itself."""
     r = np.hypot(w0, w1 + w)
-    phi = 2 * np.arctan2(w0, w1 + w + r)
-    X0 = -(np.sin(phi) * sigma_x + np.cos(phi) * sigma_z)
-    report = geometric_phases(p, h2, X0)
+    return 2 * np.arctan2(w0, w1 + w + r)
+
+
+def tilted_observable(phi):
+    """The qubit observable -(sin(phi) sigma_x + cos(phi) sigma_z)."""
+    return -(np.sin(phi) * sigma_x + np.cos(phi) * sigma_z)
+
+
+def rotating_problem(w0, w1, w, steps, two_loop=False):
+    """(schedule, duration, cyclic observable, steps) of one rotating-field
+    loop, or of the loop followed by its time-and-field-reversed copy."""
+    h, T = make_rotating(w0, w1, w), TWO_PI / w
+    if two_loop:
+        h, T = make_two_loop(h, T), 2 * T
+        steps = int(steps) + int(steps) % 2  # the reversal point must sit on the grid
+    return h, T, tilted_observable(cyclic_tilt(w0, w1, w)), int(steps)
+
+
+def read_two_loop_gate(p, report, phi):
+    """The gate U(2T, 0) of a solved double loop and its fitted GateSpec.
+
+    report is the loop's phase report; its dynamical phases must cancel.
+    The fitted tilt is phi, the tilt of the cyclic observable, and beta
+    is read from the matched eigen-overlaps of the gate (the same phase
+    reading detect_cyclic uses).
+    """
     worst = float(np.max(np.abs(report.gamma)))
     if worst > 1e-6:
         raise DynamicalResidualError(
             f"dynamical phases failed to cancel over the double loop "
             f"(worst residual {worst:.3e})"
         )
-
     gate = p.final()
-    obs = from_observable(X0)
+    obs = from_observable(tilted_observable(phi))
     M = obs.vectors.conj().T @ gate @ obs.vectors
     perm, _, _ = match_columns(M, tol=1e-6)
     beta = float(wrap_angle(np.angle(M[perm[0], 0])))
-    return gate, report, GateSpec(phi=float(phi), beta=beta)
+    return gate, GateSpec(phi=float(phi), beta=beta)
+
+
+def two_loop_protocol(w0, w1, w, steps=4096):
+    """Drive the rotating-field loop and then its time-and-field-reversed
+    copy, so every dynamical phase cancels, and read the resulting gate.
+
+    Returns (gate, report, spec): the simulated U(2T, 0), the phase
+    report of the double loop, and the fitted GateSpec (see
+    read_two_loop_gate).
+    """
+    h, T, X0, steps = rotating_problem(w0, w1, w, steps, two_loop=True)
+    p = solve(h, T, steps=steps)
+    report = geometric_phases(p, h, X0)
+    gate, spec = read_two_loop_gate(p, report, cyclic_tilt(w0, w1, w))
+    return gate, report, spec
