@@ -8,7 +8,8 @@ traced circle on the sphere, halved. The sweep reproduces that curve.
 
 import numpy as np
 
-from obsphase import geometric_phases, make_constant_z, sigma_x, sigma_z, solve
+from obsphase import geometric_phases, make_constant_z, solve
+from obsphase.gates import tilted_observable
 
 TWO_PI = 2 * np.pi
 
@@ -17,7 +18,7 @@ def main():
     h = make_constant_z(1.0)
     print(" phi/pi   beta_1      pi(1+cos)   beta_2      pi(1-cos)   route gap")
     for phi in np.linspace(0.0, np.pi, 13):
-        X0 = -(np.sin(phi) * sigma_x + np.cos(phi) * sigma_z)
+        X0 = tilted_observable(phi)
         rep = geometric_phases(solve(h, TWO_PI, steps=4096), h, X0)
         b1, b2 = rep.beta
         c1 = np.pi * (1 + np.cos(phi)) % TWO_PI

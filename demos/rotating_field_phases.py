@@ -9,18 +9,17 @@ holonomy of the horizontal lift and compared against the closed forms.
 
 import numpy as np
 
-from obsphase import geometric_phases, make_rotating, sigma_x, sigma_z, solve
+from obsphase import geometric_phases, solve
+from obsphase.gates import cyclic_tilt, rotating_problem
 
 TWO_PI = 2 * np.pi
 
 
 def run_case(w0, w1, w, steps=8192):
-    r = np.hypot(w0, w1 + w)
-    phi = 2 * np.arctan2(w0, w1 + w + r)
-    X0 = -(np.sin(phi) * sigma_x + np.cos(phi) * sigma_z)
-    h = make_rotating(w0, w1, w)
-    rep = geometric_phases(solve(h, TWO_PI / w, steps=steps), h, X0)
+    h, T, X0, steps = rotating_problem(w0, w1, w, steps)
+    rep = geometric_phases(solve(h, T, steps=steps), h, X0)
 
+    phi, r = cyclic_tilt(w0, w1, w), np.hypot(w0, w1 + w)
     swing_theta = np.pi / w * r
     swing_beta = np.pi / w * (r - w1 * np.cos(phi))  # minus sign: see tests
     theta_cf = np.array([np.pi - swing_theta, np.pi + swing_theta]) % TWO_PI

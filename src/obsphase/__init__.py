@@ -14,7 +14,6 @@ from .errors import (
     DynamicalResidualError,
     NotClosedError,
     NotCyclicError,
-    NotDiagonalError,
     NotGaugeError,
     NotHermitianError,
     NotUnitaryError,

@@ -58,8 +58,14 @@ def _round12(x):
     return float(f"{float(x):.12g}")
 
 
-def _float_list(xs):
-    return [_round12(x) for x in np.atleast_1d(xs)]
+def _float_list(xs, round_=_round12):
+    return [round_(x) for x in np.atleast_1d(xs)]
+
+
+def _angle(x):
+    # a wrapped angle just below 2pi would round up to 2pi; it is 0
+    x = _round12(x)
+    return 0.0 if x == _round12(TWO_PI) else x
 
 
 def _matrix_json(M):
@@ -67,8 +73,8 @@ def _matrix_json(M):
     return [[[_round12(z.real), _round12(z.imag)] for z in row] for row in M]
 
 
-def _fmt(x):
-    return f"{_round12(x):.12g}"
+def _fmt(x, round_=_round12):
+    return f"{round_(x):.12g}"
 
 
 # ---------------------------------------------------------------- validation
@@ -80,7 +86,10 @@ def _want(cond, pointer, message):
 
 
 def _is_real(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    # finite only: Python's json parses NaN, Infinity, 1e999 and huge integers
+    return (
+        isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+    )
 
 
 def _parse_complex_matrix(obj, pointer):
@@ -99,7 +108,7 @@ def _parse_complex_matrix(obj, pointer):
                 and len(entry) == 2
                 and all(_is_real(v) for v in entry),
                 f"{pointer}/{i}/{j}",
-                "expected an [re, im] pair",
+                "expected an [re, im] pair of finite numbers",
             )
             out[i, j] = complex(entry[0], entry[1])
     return out
@@ -148,7 +157,7 @@ def validate_scenario(raw):
             f"/params/{key}",
             f"unknown parameter for system {system}",
         )
-        _want(_is_real(value), f"/params/{key}", "expected a number")
+        _want(_is_real(value), f"/params/{key}", "expected a finite number")
     for key in spec.required:
         _want(key in params, f"/params/{key}", f"required by system {system}")
 
@@ -210,10 +219,12 @@ def validate_scenario(raw):
             _want(key in ("times", "matrices"), f"/schedule/{key}", "unknown key")
         times = sched.get("times")
         _want(
-            isinstance(times, list) and len(times) >= 2 and all(_is_real(t) for t in times),
+            isinstance(times, list) and len(times) >= 2,
             "/schedule/times",
             "expected a list of at least two numbers",
         )
+        for i, t in enumerate(times):
+            _want(_is_real(t), f"/schedule/times/{i}", "expected a finite number")
         _want(times[0] == 0, "/schedule/times/0", "tabulated schedules must start at t = 0")
         _want(
             all(b > a for a, b in zip(times, times[1:])),
@@ -293,7 +304,7 @@ def _two_loop_gate(report, sc, p, phase_report):
     fitted = u_phi_beta(fit)
     report["gates"]["two-loop"] = _matrix_json(gate)
     report["gates"]["fitted"] = _matrix_json(fitted)
-    report["gate_fit"] = {"phi": _round12(fit.phi), "beta": _round12(fit.beta)}
+    report["gate_fit"] = {"phi": _round12(fit.phi), "beta": _angle(fit.beta)}
     report["residuals"]["dynamical_cancellation"] = _round12(
         np.max(np.abs(phase_report.gamma))
     )
@@ -318,7 +329,8 @@ _SYSTEMS = {
     "constant-field": _System(("mu_B", "phi"), ("T", "steps"), "mu_B", _constant_field),
     "rotating-field": _System(("w0", "w1", "w"), nonzero="w", build=_rotating),
     "two-loop": _System(
-        ("w0", "w1", "w"), nonzero="w", build=partial(_rotating, two_loop=True), gate=_two_loop_gate, jumps=True
+        ("w0", "w1", "w"), nonzero="w", build=partial(_rotating, two_loop=True),
+        gate=_two_loop_gate, jumps=True,
     ),
     "two-qubit-cnot": _System((), ("phi0", "beta0", "phi1", "beta1")),
     "custom-tabulated": _System((), build=_tabulated),
@@ -389,8 +401,9 @@ def _base_report(sc):
 
 
 def _curve_rows(p, X0):
-    """Per grid point: time, Bloch coordinates of the lowest-level
-    projector (dimension 2 only), and the running holonomy phases."""
+    """Per grid point, as CSV cells: time, Bloch coordinates of the
+    lowest-level projector (dimension 2 only), and the running holonomy
+    phases."""
     obs = from_observable(X0)
     hor = horizontal_lift(lift_from_propagator(p, obs))
     frames = hor.unitaries @ obs.vectors
@@ -400,13 +413,13 @@ def _curve_rows(p, X0):
     )
     rows = []
     for k, t in enumerate(p.grid):
-        row = [t]
+        row = [_fmt(t)]
         if obs.dim == 2:
             v = frames[k, :, 0]
             row += [
-                (v.conj() @ S @ v).real for S in (sigma_x, sigma_y, sigma_z)
+                _fmt((v.conj() @ S @ v).real) for S in (sigma_x, sigma_y, sigma_z)
             ]
-        row += list(running[k])
+        row += [_fmt(b, _angle) for b in running[k]]
         rows.append(row)
     return rows
 
@@ -425,7 +438,7 @@ def _write_curve_csv(path, p, X0, bloch_only=False):
     with open(path, "w") as f:
         f.write(header + "\n")
         for r in rows:
-            f.write(",".join(_fmt(v) for v in r) + "\n")
+            f.write(",".join(r) + "\n")
 
 
 def _fill_cnot(report, params):
@@ -480,11 +493,11 @@ def run_scenario(sc, out_dir=".", steps=None, tol=None):
 
 
 def _fill_phase_fields(report, phase_report):
-    report["theta"] = _float_list(phase_report.theta)
+    report["theta"] = _float_list(phase_report.theta, _angle)
     report["gamma"] = _float_list(phase_report.gamma)
-    report["beta"] = _float_list(phase_report.beta)
+    report["beta"] = _float_list(phase_report.beta, _angle)
     report["beta_unreduced"] = _float_list(phase_report.beta_raw)
-    report["holonomy_beta"] = _float_list(phase_report.holonomy_beta)
+    report["holonomy_beta"] = _float_list(phase_report.holonomy_beta, _angle)
     report["residuals"]["cyclicity"] = _round12(phase_report.cyclicity_residual)
     report["residuals"]["cross_check"] = _round12(phase_report.cross_residual)
 
@@ -501,6 +514,7 @@ def _parse_range(spec):
             raise ValueError
     except (ValueError, IndexError):
         raise ScenarioError("", f"range must look like lo:hi:n, got {spec!r}")
+    _want(_is_real(lo) and _is_real(hi), "", f"range bounds must be finite, got {spec!r}")
     return np.linspace(lo, hi, count)
 
 
@@ -542,7 +556,7 @@ def sweep_scenario(sc, param, values, out_dir=".", steps=None, tol=None):
             else:
                 r = geometric_phases(p, h, X0, tol=CYCLIC_TOL if tol is None else tol)
                 cells = [_fmt(value)]
-                cells += [_fmt(b) for b in r.beta]
+                cells += [_fmt(b, _angle) for b in r.beta]
                 cells += [_fmt(r.cross_residual), _fmt(r.cyclicity_residual), "ok"]
             f.write(",".join(cells) + "\n")
     return [path]
@@ -581,6 +595,8 @@ def main(argv=None):
         sc = validate_scenario(load_scenario(args.scenario))
         if args.steps is not None and args.steps < 8:
             raise ScenarioError("/params/steps", "expected an integer >= 8")
+        if args.tol is not None and not (_is_real(args.tol) and args.tol > 0):
+            raise ScenarioError("", f"--tol must be positive and finite, got {args.tol:g}")
         if args.command == "run":
             artifacts = run_scenario(
                 sc, out_dir=args.out, steps=args.steps, tol=args.tol

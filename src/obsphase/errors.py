@@ -37,10 +37,6 @@ class NotClosedError(ObsphaseError):
     """A lifted curve does not return to its initial decomposition."""
 
 
-class NotDiagonalError(ObsphaseError):
-    """A holonomy endpoint is not diagonal in the matched eigenframe."""
-
-
 class NotGaugeError(ObsphaseError):
     """A unitary is not a phase-and-permutation (gauge) element, within tolerance."""
 

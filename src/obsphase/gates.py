@@ -106,13 +106,10 @@ def rotating_problem(w0, w1, w, steps, two_loop=False):
 
 
 def read_two_loop_gate(p, report, phi):
-    """The gate U(2T, 0) of a solved double loop and its fitted GateSpec.
-
-    report is the loop's phase report; its dynamical phases must cancel.
-    The fitted tilt is phi, the tilt of the cyclic observable, and beta
-    is read from the matched eigen-overlaps of the gate (the same phase
-    reading detect_cyclic uses).
-    """
+    """The gate U(2T, 0) of a solved double loop whose phase report must
+    show cancelled dynamical phases, and its fitted GateSpec: tilt phi,
+    and beta read from the matched eigen-overlaps of the gate (the same
+    phase reading detect_cyclic uses)."""
     worst = float(np.max(np.abs(report.gamma)))
     if worst > 1e-6:
         raise DynamicalResidualError(

@@ -10,7 +10,7 @@ never stored separately); all frequencies in rad/time.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatchError,
@@ -34,7 +34,6 @@ class HamiltonianSchedule:
     kind       -- one of Constant, RotatingField, Reversed, TwoLoop,
                   BlockDiag, Tabulated, Warped
     domain     -- (t_start, t_end); evaluation outside raises
-    params     -- per-kind real parameters, kept for reporting
     breakpoints -- interior times where eval jumps; integrators must
                   align their grids on these
     """
@@ -42,7 +41,6 @@ class HamiltonianSchedule:
     dim: int
     kind: str
     domain: tuple
-    params: dict = field(default_factory=dict)
     fn: callable = None
     breakpoints: tuple = ()
 
@@ -61,7 +59,6 @@ class HamiltonianSchedule:
             dim=self.dim,
             kind="Warped",
             domain=(lo - t0, hi - t0),
-            params={**self.params, "shift": t0},
             fn=lambda u: self.fn(u + t0),
             breakpoints=tuple(b - t0 for b in self.breakpoints),
         )
@@ -76,7 +73,6 @@ def make_constant_z(mu_B):
         dim=2,
         kind="Constant",
         domain=UNBOUNDED,
-        params={"mu_B": mu_B, "T": 2 * np.pi / abs(mu_B)},
         fn=lambda t: H,
     )
 
@@ -102,7 +98,6 @@ def make_rotating(w0, w1, w):
         dim=2,
         kind="RotatingField",
         domain=UNBOUNDED,
-        params={"w0": w0, "w1": w1, "w": w, "T": 2 * np.pi / abs(w)},
         fn=fn,
     )
 
@@ -116,7 +111,6 @@ def make_reversed(inner, T):
         dim=inner.dim,
         kind="Reversed",
         domain=(0.0, T),
-        params={**inner.params, "T": T},
         fn=lambda t: -inner.fn(T - t),
         breakpoints=tuple(sorted(T - b for b in inner.breakpoints if 0 < T - b < T)),
     )
@@ -145,7 +139,6 @@ def make_two_loop(inner, T):
         dim=inner.dim,
         kind="TwoLoop",
         domain=(0.0, 2 * T),
-        params={**inner.params, "T": T},
         fn=fn,
         breakpoints=tuple(bps),
     )
@@ -173,7 +166,6 @@ def make_block_two_qubit(h0, h1):
         dim=4,
         kind="BlockDiag",
         domain=(lo, hi),
-        params={},
         fn=fn,
         breakpoints=tuple(b for b in bps if lo < b < hi),
     )
@@ -209,7 +201,6 @@ def make_tabulated(times, samples, tol=1e-12):
         dim=samples.shape[1],
         kind="Tabulated",
         domain=(float(times[0]), float(times[-1])),
-        params={"n_samples": len(times)},
         fn=fn,
     )
 
@@ -228,7 +219,6 @@ def make_warped(inner, warp, dwarp, duration, breakpoints=()):
         dim=inner.dim,
         kind="Warped",
         domain=(0.0, duration),
-        params=dict(inner.params),
         fn=lambda u: dwarp(u) * inner.fn(warp(u)),
         breakpoints=tuple(breakpoints),
     )
@@ -243,5 +233,5 @@ def make_zero(dim):
     """The zero schedule (free evolution), defined for all t."""
     Z = np.zeros((dim, dim), dtype=complex)
     return HamiltonianSchedule(
-        dim=dim, kind="Constant", domain=UNBOUNDED, params={}, fn=lambda t: Z
+        dim=dim, kind="Constant", domain=UNBOUNDED, fn=lambda t: Z
     )

@@ -76,9 +76,6 @@ class EigenDecomposition:
     def dim(self):
         return len(self.values)
 
-    def pairs(self):
-        return list(zip(self.values, self.vectors.T))
-
 
 def hermitian_eig(H, tol=HERMITICITY_TOL, gap_tol=GAP_TOL):
     """Eigendecomposition of a Hermitian matrix with a fixed convention.

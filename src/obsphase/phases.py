@@ -120,18 +120,6 @@ class PhaseReport:
     def dim(self):
         return len(self.theta)
 
-    def as_dict(self):
-        return {
-            "theta": list(self.theta),
-            "gamma": list(self.gamma),
-            "beta": list(self.beta),
-            "beta_raw": list(self.beta_raw),
-            "holonomy_beta": list(self.holonomy_beta),
-            "cyclicity_residual": self.cyclicity_residual,
-            "cross_residual": self.cross_residual,
-            "closure_permutation": list(self.closure_permutation),
-        }
-
 
 def geometric_phases(
     p: Propagator, h: HamiltonianSchedule, X0, tol=CYCLIC_TOL, cross_tol=CROSS_TOL

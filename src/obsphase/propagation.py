@@ -18,10 +18,6 @@ from .errors import DimensionMismatchError, NotHermitianError, ScheduleDomainErr
 from .hamiltonians import HamiltonianSchedule
 from .linalg import expm_skew, expm_skew_many, is_hermitian, sigma_x, sigma_z
 
-MAGNUS_MIDPOINT = "MagnusMidpoint"
-CLOSED_FORM_CONSTANT = "ClosedFormConstant"
-CLOSED_FORM_ROTATING = "ClosedFormRotating"
-
 DEFAULT_STEPS = 4096
 
 
@@ -31,7 +27,6 @@ class Propagator:
 
     grid: np.ndarray
     unitaries: np.ndarray
-    method: str
 
     @property
     def dim(self):
@@ -84,7 +79,7 @@ def solve(h: HamiltonianSchedule, T, steps=DEFAULT_STEPS):
     unitaries[0] = np.eye(d)
     for k in range(steps):
         unitaries[k + 1] = step_U[k] @ unitaries[k]
-    return Propagator(grid=grid, unitaries=unitaries, method=MAGNUS_MIDPOINT)
+    return Propagator(grid=grid, unitaries=unitaries)
 
 
 def closed_form_rotating(w0, w1, w, t):
@@ -101,7 +96,7 @@ def exact_rotating_propagator(w0, w1, w, T, steps=DEFAULT_STEPS):
     """Propagator sampled from the rotating-field closed form."""
     grid = np.linspace(0.0, T, steps + 1)
     unitaries = np.stack([closed_form_rotating(w0, w1, w, t) for t in grid])
-    return Propagator(grid=grid, unitaries=unitaries, method=CLOSED_FORM_ROTATING)
+    return Propagator(grid=grid, unitaries=unitaries)
 
 
 def exact_constant_propagator(mu_B, T, steps=DEFAULT_STEPS):
@@ -111,7 +106,7 @@ def exact_constant_propagator(mu_B, T, steps=DEFAULT_STEPS):
     unitaries = np.zeros((steps + 1, 2, 2), dtype=complex)
     unitaries[:, 0, 0] = ph
     unitaries[:, 1, 1] = ph.conj()
-    return Propagator(grid=grid, unitaries=unitaries, method=CLOSED_FORM_CONSTANT)
+    return Propagator(grid=grid, unitaries=unitaries)
 
 
 def inverse_at(p: Propagator, k):

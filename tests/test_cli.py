@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from obsphase import geometric_phases, solve
 from obsphase.cli import (
     load_scenario,
     main,
@@ -316,3 +318,118 @@ def test_report_round_trips_and_revalidates(tmp_path):
     for key in ("theta", "gamma", "beta", "beta_unreduced", "holonomy_beta"):
         assert isinstance(r[key], list) and len(r[key]) == 2
     assert set(r["residuals"]) >= {"cyclicity", "cross_check"}
+
+
+# ------------------------------------------------------ angles, input bounds
+
+
+def test_angles_below_two_pi_never_print_as_two_pi(tmp_path):
+    # the identity gate's phases sit a rounding step below 2pi; they must
+    # read 0, not 6.28318530718, at 12 significant digits
+    sc = validate_scenario(
+        scenario(
+            system="two-loop",
+            params={"w0": 1.0, "w1": 3.0, "w": 2.0, "steps": 2048},
+            outputs=["report", "curve_csv"],
+        )
+    )
+    run_scenario(sc, out_dir=str(tmp_path))
+    r = read_report(tmp_path, "t")
+    angles = r["theta"] + r["beta"] + r["holonomy_beta"] + [r["gate_fit"]["beta"]]
+    assert all(0 <= a < 2 * np.pi for a in angles)
+    for line in (tmp_path / "t-curve.csv").read_text().splitlines()[1:]:
+        assert all(0 <= float(a) < 2 * np.pi for a in line.split(",")[4:])
+
+    sweep_scenario(sc, "w1", np.array([3.0, 4.0, 5.0]), out_dir=str(tmp_path), steps=1024)
+    rows = (tmp_path / "t-sweep-w1.csv").read_text().splitlines()[1:]
+    assert all(0 <= float(a) < 2 * np.pi for row in rows for a in row.split(",")[1:3])
+
+
+@pytest.mark.parametrize(
+    "pointer, value",
+    [
+        ("/params/mu_B", float("nan")),
+        ("/params/phi", float("inf")),
+        ("/params/T", 10**400),
+        ("/schedule/times/1", float("nan")),
+        ("/schedule/matrices/1/0/0", [float("-inf"), 0.0]),
+        ("/observable/1/0", [0.0, float("nan")]),
+    ],
+)
+def test_non_finite_numbers_are_pointed_at(pointer, value):
+    Z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+    tabulated = scenario(
+        system="custom-tabulated",
+        params={},
+        schedule={"times": [0.0, 1.0], "matrices": [Z, Z]},
+        observable=Z,
+    )
+    sc = json.loads(json.dumps(tabulated if "params" not in pointer else scenario()))
+    *path, last = pointer.strip("/").split("/")
+    node = sc
+    for key in path:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(last) if isinstance(node, list) else last] = value
+    with pytest.raises(ScenarioError) as err:
+        validate_scenario(sc)
+    assert err.value.pointer == pointer
+
+
+def test_main_rejects_non_finite_json_range_and_tolerance(tmp_path, capsys):
+    nan = tmp_path / "nan.json"
+    nan.write_text(json.dumps(scenario(params={"mu_B": float("nan"), "phi": 0.5})))
+    assert "NaN" in nan.read_text()
+    assert main(["run", str(nan), "--out", str(tmp_path)]) == 2
+    assert "/params/mu_B" in capsys.readouterr().err
+
+    good = write_scenario(tmp_path, scenario())
+    for spec in ("0:inf:3", "nan:1:3", "-inf:1:0"):
+        assert main(["sweep", good, "--param", "phi", f"--range={spec}"]) == 2
+    for tol in ("0", "-1e-6", "nan", "inf"):
+        assert main(["run", good, "--out", str(tmp_path), f"--tol={tol}"]) == 2
+    assert main(["run", good, "--out", str(tmp_path), "--tol=1e-5"]) == 0
+
+
+# ---------------------------------------------------------- one solve per run
+
+
+def test_two_loop_run_solves_once_and_passes_tol(tmp_path, monkeypatch):
+    import obsphase.cli as cli
+    import obsphase.gates as gates
+
+    solves, tols = [], []
+
+    def counted_solve(h, T, steps):
+        if h.kind != "Warped":
+            solves.append(steps)
+        return solve(h, T, steps=steps)
+
+    def recorded_phases(p, h, X0, tol=1e-6):
+        tols.append(tol)
+        return geometric_phases(p, h, X0, tol=tol)
+
+    for module in (cli, gates):
+        monkeypatch.setattr(module, "solve", counted_solve)
+        monkeypatch.setattr(module, "geometric_phases", recorded_phases)
+    sc = validate_scenario(
+        scenario(
+            system="two-loop",
+            params={"w0": 1.0, "w1": 3.0, "w": 2.0, "steps": 1024},
+            checks=["gauge-start"],
+            outputs=["report", "curve_csv"],
+        )
+    )
+    run_scenario(sc, out_dir=str(tmp_path), tol=1e-4)
+    assert solves == [1024]
+    assert tols == [1e-4]
+
+
+DEMO_SCENARIOS = sorted(
+    (Path(__file__).resolve().parents[1] / "demos" / "scenarios").glob("*.json")
+)
+
+
+@pytest.mark.parametrize("path", DEMO_SCENARIOS, ids=lambda p: p.stem)
+def test_demo_scenarios_run(path, tmp_path):
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+    assert any(tmp_path.iterdir())

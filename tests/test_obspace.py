@@ -248,3 +248,17 @@ def test_bloch_chart():
     assert n[2] >= 0
     with pytest.raises(DimensionMismatchError):
         bloch_chart(OrthDecomposition(np.eye(3)))
+
+
+def test_distance_to_own_gauge_copy_is_zero():
+    # a frame against a permuted and rephased copy of itself; started
+    # from the coarse grid alone, the refinement stalls above 0 on the
+    # sixth d = 3 pair and on the first d = 4 pair
+    for d, pairs in ((3, 6), (4, 1)):
+        rng = np.random.default_rng(5)
+        for _ in range(pairs):
+            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            q, r = np.linalg.qr(z)
+            F = q * np.exp(-1j * np.angle(np.diag(r)))
+            G = F[:, rng.permutation(d)] * np.exp(1j * rng.uniform(0, 2 * np.pi, d))
+            assert distance_DW(OrthDecomposition(F), OrthDecomposition(G)) <= 1e-12
