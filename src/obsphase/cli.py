@@ -58,8 +58,8 @@ def _round12(x):
     return float(f"{float(x):.12g}")
 
 
-def _float_list(xs, round_=_round12):
-    return [round_(x) for x in np.atleast_1d(xs)]
+def _float_list(xs):
+    return [_round12(x) for x in np.atleast_1d(xs)]
 
 
 def _angle(x):
@@ -73,8 +73,8 @@ def _matrix_json(M):
     return [[[_round12(z.real), _round12(z.imag)] for z in row] for row in M]
 
 
-def _fmt(x, round_=_round12):
-    return f"{round_(x):.12g}"
+def _fmt(x):
+    return f"{_round12(x):.12g}"
 
 
 # ---------------------------------------------------------------- validation
@@ -297,10 +297,10 @@ def _tabulated(sc, steps):
     return make_tabulated(times, sc["_samples"]), float(times[-1]), sc["_X0"], steps
 
 
-def _two_loop_gate(report, sc, p, phase_report):
+def _two_loop_gate(report, sc, p, phase_report, X0):
     params = sc["params"]
     phi = cyclic_tilt(params["w0"], params["w1"], params["w"])
-    gate, fit = read_two_loop_gate(p, phase_report, phi)
+    gate, fit = read_two_loop_gate(p, phase_report, X0, phi)
     fitted = u_phi_beta(fit)
     report["gates"]["two-loop"] = _matrix_json(gate)
     report["gates"]["fitted"] = _matrix_json(fitted)
@@ -314,8 +314,9 @@ def _two_loop_gate(report, sc, p, phase_report):
 class _System(NamedTuple):
     """One system: its params, the param that must be nonzero, build(sc,
     steps) -> (schedule, T, X0, steps) or None when nothing evolves,
-    gate(report, sc, p, phase_report) adding the gate read off the solved
-    propagator, and whether the schedule jumps (so it cannot be warped)."""
+    gate(report, sc, p, phase_report, X0) adding the gate read off the
+    solved propagator, and whether the schedule jumps (so it cannot be
+    warped)."""
 
     required: tuple
     optional: tuple = ("steps",)
@@ -419,7 +420,7 @@ def _curve_rows(p, X0):
             row += [
                 _fmt((v.conj() @ S @ v).real) for S in (sigma_x, sigma_y, sigma_z)
             ]
-        row += [_fmt(b, _angle) for b in running[k]]
+        row += [_fmt(_angle(b)) for b in running[k]]
         rows.append(row)
     return rows
 
@@ -470,7 +471,7 @@ def run_scenario(sc, out_dir=".", steps=None, tol=None):
         phase_report = geometric_phases(p, h, X0, tol=CYCLIC_TOL if tol is None else tol)
         _fill_phase_fields(report, phase_report)
         if system.gate:
-            system.gate(report, sc, p, phase_report)
+            system.gate(report, sc, p, phase_report, X0)
         report["residuals"].update(
             _invariance_residuals(sc, p, h, T, X0, n, phase_report)
         )
@@ -493,11 +494,11 @@ def run_scenario(sc, out_dir=".", steps=None, tol=None):
 
 
 def _fill_phase_fields(report, phase_report):
-    report["theta"] = _float_list(phase_report.theta, _angle)
+    report["theta"] = [_angle(x) for x in phase_report.theta]
     report["gamma"] = _float_list(phase_report.gamma)
-    report["beta"] = _float_list(phase_report.beta, _angle)
+    report["beta"] = [_angle(x) for x in phase_report.beta]
     report["beta_unreduced"] = _float_list(phase_report.beta_raw)
-    report["holonomy_beta"] = _float_list(phase_report.holonomy_beta, _angle)
+    report["holonomy_beta"] = [_angle(x) for x in phase_report.holonomy_beta]
     report["residuals"]["cyclicity"] = _round12(phase_report.cyclicity_residual)
     report["residuals"]["cross_check"] = _round12(phase_report.cross_residual)
 
@@ -556,7 +557,7 @@ def sweep_scenario(sc, param, values, out_dir=".", steps=None, tol=None):
             else:
                 r = geometric_phases(p, h, X0, tol=CYCLIC_TOL if tol is None else tol)
                 cells = [_fmt(value)]
-                cells += [_fmt(b, _angle) for b in r.beta]
+                cells += [_fmt(_angle(b)) for b in r.beta]
                 cells += [_fmt(r.cross_residual), _fmt(r.cyclicity_residual), "ok"]
             f.write(",".join(cells) + "\n")
     return [path]

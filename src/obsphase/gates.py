@@ -105,11 +105,11 @@ def rotating_problem(w0, w1, w, steps, two_loop=False):
     return h, T, tilted_observable(cyclic_tilt(w0, w1, w)), int(steps)
 
 
-def read_two_loop_gate(p, report, phi):
+def read_two_loop_gate(p, report, X0, phi):
     """The gate U(2T, 0) of a solved double loop whose phase report must
-    show cancelled dynamical phases, and its fitted GateSpec: tilt phi,
-    and beta read from the matched eigen-overlaps of the gate (the same
-    phase reading detect_cyclic uses)."""
+    show cancelled dynamical phases, and its fitted GateSpec: tilt phi of
+    the observable X0, and beta read from the matched eigen-overlaps of
+    the gate (the same phase reading detect_cyclic uses)."""
     worst = float(np.max(np.abs(report.gamma)))
     if worst > 1e-6:
         raise DynamicalResidualError(
@@ -117,7 +117,7 @@ def read_two_loop_gate(p, report, phi):
             f"(worst residual {worst:.3e})"
         )
     gate = p.final()
-    obs = from_observable(tilted_observable(phi))
+    obs = from_observable(X0)
     M = obs.vectors.conj().T @ gate @ obs.vectors
     perm, _, _ = match_columns(M, tol=1e-6)
     beta = float(wrap_angle(np.angle(M[perm[0], 0])))
@@ -135,5 +135,5 @@ def two_loop_protocol(w0, w1, w, steps=4096):
     h, T, X0, steps = rotating_problem(w0, w1, w, steps, two_loop=True)
     p = solve(h, T, steps=steps)
     report = geometric_phases(p, h, X0)
-    gate, spec = read_two_loop_gate(p, report, cyclic_tilt(w0, w1, w))
+    gate, spec = read_two_loop_gate(p, report, X0, cyclic_tilt(w0, w1, w))
     return gate, report, spec

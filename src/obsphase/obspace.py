@@ -196,6 +196,16 @@ def _eig_objective(A, thetas):
     return float(np.max(np.abs(1.0 - lam)))
 
 
+def _refine(A, start):
+    res = scipy.optimize.minimize(
+        lambda th: _eig_objective(A, th),
+        start,
+        method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000, "maxfev": 8000},
+    )
+    return float(res.fun)
+
+
 def _min_over_phases(A, grid_points):
     d = A.shape[0]
     angles = np.arange(grid_points) * TWO_PI / grid_points
@@ -205,19 +215,13 @@ def _min_over_phases(A, grid_points):
     lam = np.linalg.eigvals(stack)
     vals = np.max(np.abs(1.0 - lam), axis=1)
     best = int(np.argmin(vals))
-    start, start_val = thetas[best], float(vals[best])
-    # the phase-aligned point is exact when the pairing is a gauge copy
+    out = min(float(vals[best]), _refine(A, thetas[best]))
+    # the phase-aligned point is exact when the pairing is a gauge copy;
+    # refining it as well can only lower what the grid start reached
     aligned = -np.angle(np.diag(A))
-    aligned_val = _eig_objective(A, aligned)
-    if aligned_val < start_val:
-        start, start_val = aligned, aligned_val
-    res = scipy.optimize.minimize(
-        lambda th: _eig_objective(A, th),
-        start,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000, "maxfev": 8000},
-    )
-    return min(start_val, float(res.fun))
+    if _eig_objective(A, aligned) < out:
+        out = min(out, _refine(A, aligned))
+    return out
 
 
 def distance_DW(O: OrthDecomposition, O2: OrthDecomposition):
@@ -225,10 +229,10 @@ def distance_DW(O: OrthDecomposition, O2: OrthDecomposition):
     unitaries U carrying the frame of O onto the frame of O2, i.e. over
     every pairing of levels and every choice of per-level phases.
 
-    Each pairing is refined by Nelder-Mead from the better of a coarse
-    phase grid and the phase-aligned point: exact to about 1e-6 for d = 2,
-    and 0 to rounding against a permuted and rephased copy for d <= 4.
-    For d >= 3 the refinement can stall on the kinked objective, so on
+    Each pairing is refined by Nelder-Mead from the minimum of a coarse
+    phase grid, and again from the phase-aligned point when that lies
+    below the first result: exact to about 1e-6 for d = 2, and 0 to
+    rounding against a permuted and rephased copy for d <= 4. For d >= 3 the refinement can stall on the kinked objective, so on
     generic pairs the result is an upper bound that may sit above the
     minimum; for d > 4 only the max-overlap pairing is searched.
     """
