@@ -124,6 +124,33 @@ def load_scenario(path):
         raise ScenarioError("", f"not valid JSON: {e}")
 
 
+def _check_params(params, system):
+    """Check a params object against its system's spec; an integral
+    steps value is stored as an int."""
+    spec = _SYSTEMS[system]
+    for key, value in params.items():
+        _want(
+            key in spec.required + spec.optional,
+            f"/params/{key}",
+            f"unknown parameter for system {system}",
+        )
+        _want(_is_real(value), f"/params/{key}", "expected a finite number")
+    for key in spec.required:
+        _want(key in params, f"/params/{key}", f"required by system {system}")
+
+    if "steps" in params:
+        steps = params["steps"]
+        _want(
+            float(steps).is_integer() and steps >= 8,
+            "/params/steps",
+            "expected an integer >= 8",
+        )
+        params["steps"] = int(steps)
+    if spec.nonzero:
+        _want(params[spec.nonzero] != 0, f"/params/{spec.nonzero}", "must be nonzero")
+    _want(params.get("T", 1.0) > 0, "/params/T", "duration must be positive")
+
+
 def validate_scenario(raw):
     """Check a parsed scenario against the published schema and fill in
     defaults. Returns the normalized scenario dict; raises ScenarioError
@@ -151,27 +178,7 @@ def validate_scenario(raw):
 
     params = raw.get("params", {})
     _want(isinstance(params, dict), "/params", "expected an object")
-    for key, value in params.items():
-        _want(
-            key in spec.required + spec.optional,
-            f"/params/{key}",
-            f"unknown parameter for system {system}",
-        )
-        _want(_is_real(value), f"/params/{key}", "expected a finite number")
-    for key in spec.required:
-        _want(key in params, f"/params/{key}", f"required by system {system}")
-
-    if "steps" in params:
-        steps = params["steps"]
-        _want(
-            float(steps).is_integer() and steps >= 8,
-            "/params/steps",
-            "expected an integer >= 8",
-        )
-        params["steps"] = int(steps)
-    if spec.nonzero:
-        _want(params[spec.nonzero] != 0, f"/params/{spec.nonzero}", "must be nonzero")
-    _want(params.get("T", 1.0) > 0, "/params/T", "duration must be positive")
+    _check_params(params, system)
 
     checks = raw.get("checks", [])
     _want(isinstance(checks, list), "/checks", "expected a list")
@@ -529,11 +536,9 @@ def sweep_scenario(sc, param, values, out_dir=".", steps=None, tol=None):
         f"/params/{param}",
         f"not a sweepable parameter of system {sc['system']}",
     )
-    _want(
-        param != system.nonzero or all(v != 0 for v in values),
-        f"/params/{param}",
-        "sweep range crosses zero frequency",
-    )
+    row_params = [dict(sc["params"], **{param: float(value)}) for value in values]
+    for params in row_params:
+        _check_params(params, sc["system"])
 
     os.makedirs(out_dir, exist_ok=True)
     dim = sc["_X0"].shape[0] if "_X0" in sc else 2
@@ -546,9 +551,8 @@ def sweep_scenario(sc, param, values, out_dir=".", steps=None, tol=None):
     )
     with open(path, "w") as f:
         f.write(header + "\n")
-        for value in values:
-            row_sc = dict(sc, params=dict(sc["params"], **{param: float(value)}))
-            h, T, X0, n = _build_problem(row_sc, steps)
+        for value, params in zip(values, row_params):
+            h, T, X0, n = _build_problem(dict(sc, params=params), steps)
             p = solve(h, T, steps=n)
             cyc = detect_cyclic(p, X0, tol=CYCLIC_TOL if tol is None else tol)
             if not cyc.is_cyclic:

@@ -98,7 +98,7 @@ def tilted_observable(phi):
 def rotating_problem(w0, w1, w, steps, two_loop=False):
     """(schedule, duration, cyclic observable, steps) of one rotating-field
     loop, or of the loop followed by its time-and-field-reversed copy."""
-    h, T = make_rotating(w0, w1, w), TWO_PI / w
+    h, T = make_rotating(w0, w1, w), TWO_PI / abs(w)
     if two_loop:
         h, T = make_two_loop(h, T), 2 * T
         steps = int(steps) + int(steps) % 2  # the reversal point must sit on the grid

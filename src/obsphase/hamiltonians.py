@@ -1,9 +1,11 @@
 """Time-dependent Hamiltonians as evaluatable schedules.
 
-A schedule is a closed object mapping t to a Hermitian matrix, so that
-integrators can choose their own grids. Preset factories cover the
-constant and rotating qubit fields, and combinators build the reversed
-and two-loop protocols from any inner schedule.
+A schedule is a closed object mapping times to Hermitian matrices, so
+that integrators can choose their own grids. It is evaluated on arrays:
+fn takes n times and returns the (n, d, d) stack, so a whole grid is
+sampled in one call. Preset factories cover the constant and rotating
+qubit fields, and combinators build the reversed and two-loop protocols
+from any inner schedule.
 
 Conventions: only the products omega_i = mu*B_i enter (mu and B are
 never stored separately); all frequencies in rad/time.
@@ -34,6 +36,8 @@ class HamiltonianSchedule:
     kind       -- one of Constant, RotatingField, Reversed, TwoLoop,
                   BlockDiag, Tabulated, Warped
     domain     -- (t_start, t_end); evaluation outside raises
+    fn         -- takes a 1-d array of n times inside the domain and
+                  returns the (n, dim, dim) stack of matrices
     breakpoints -- interior times where eval jumps; integrators must
                   align their grids on these
     """
@@ -45,12 +49,18 @@ class HamiltonianSchedule:
     breakpoints: tuple = ()
 
     def eval(self, t):
+        """h(t) as a (dim, dim) matrix for a scalar t, or as the
+        (n, dim, dim) stack for a 1-d array of n times."""
+        ts = np.asarray(t, dtype=float)
         lo, hi = self.domain
-        if not (lo - _EDGE <= t <= hi + _EDGE):
+        outside = ~((lo - _EDGE <= ts) & (ts <= hi + _EDGE))
+        if np.any(outside):
             raise ScheduleDomainError(
-                f"t={t:g} outside schedule domain [{lo:g}, {hi:g}]"
+                f"t={ts.flat[np.argmax(outside)]:g} outside schedule domain [{lo:g}, {hi:g}]"
             )
-        return self.fn(t)
+        if ts.ndim == 0:
+            return self.fn(ts.reshape(1))[0]
+        return self.fn(ts)
 
     def shifted(self, t0):
         """Schedule u -> eval(u + t0), domain moved accordingly."""
@@ -73,7 +83,7 @@ def make_constant_z(mu_B):
         dim=2,
         kind="Constant",
         domain=UNBOUNDED,
-        fn=lambda t: H,
+        fn=lambda t: np.tile(H, (len(t), 1, 1)),
     )
 
 
@@ -82,17 +92,14 @@ def make_rotating(w0, w1, w):
 
         h(t) = -(1/2)(w0 sigma_x cos wt + w0 sigma_y sin wt + w1 sigma_z)
 
-    with period 2 pi / w.
+    with period 2 pi / |w|.
     """
     if w == 0:
         raise ZeroFrequencyError("rotating-field schedule needs w != 0")
 
     def fn(t):
-        return -0.5 * (
-            w0 * np.cos(w * t) * sigma_x
-            + w0 * np.sin(w * t) * sigma_y
-            + w1 * sigma_z
-        )
+        wt = w * t[:, None, None]
+        return -0.5 * (w0 * np.cos(wt) * sigma_x + w0 * np.sin(wt) * sigma_y + w1 * sigma_z)
 
     return HamiltonianSchedule(
         dim=2,
@@ -129,9 +136,11 @@ def make_two_loop(inner, T):
         raise ScheduleDomainError("inner schedule does not cover [0, T]")
 
     def fn(t):
-        if t < T:
-            return inner.fn(t)
-        return -inner.fn(2 * T - t)
+        first = t < T
+        H = np.empty((len(t), inner.dim, inner.dim), dtype=complex)
+        H[first] = inner.fn(t[first])
+        H[~first] = -inner.fn(2 * T - t[~first])
+        return H
 
     inner_bps = [b for b in inner.breakpoints if 0 < b < T]
     bps = sorted(inner_bps + [T] + [2 * T - b for b in inner_bps])
@@ -156,9 +165,9 @@ def make_block_two_qubit(h0, h1):
     hi = min(h0.domain[1], h1.domain[1])
 
     def fn(t):
-        H = np.zeros((4, 4), dtype=complex)
-        H[:2, :2] = h0.fn(t)
-        H[2:, 2:] = h1.fn(t)
+        H = np.zeros((len(t), 4, 4), dtype=complex)
+        H[:, :2, :2] = h0.fn(t)
+        H[:, 2:, 2:] = h1.fn(t)
         return H
 
     bps = sorted(set(h0.breakpoints) | set(h1.breakpoints))
@@ -192,9 +201,8 @@ def make_tabulated(times, samples, tol=1e-12):
             raise NotHermitianError(f"sample {k} is not Hermitian within {tol:g}")
 
     def fn(t):
-        k = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2))
-        lam = (t - times[k]) / (times[k + 1] - times[k])
-        lam = min(max(lam, 0.0), 1.0)
+        k = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
+        lam = np.clip((t - times[k]) / (times[k + 1] - times[k]), 0.0, 1.0)[:, None, None]
         return (1 - lam) * samples[k] + lam * samples[k + 1]
 
     return HamiltonianSchedule(
@@ -208,8 +216,9 @@ def make_tabulated(times, samples, tol=1e-12):
 def make_warped(inner, warp, dwarp, duration, breakpoints=()):
     """Time-reparameterized schedule h_w(u) = warp'(u) * inner(warp(u)).
 
-    warp must be a monotone C^1 map [0, duration] -> inner.domain. The
-    propagator of h_w at u then equals the inner propagator at warp(u),
+    warp must be a monotone C^1 map [0, duration] -> inner.domain;
+    warp and dwarp (its derivative) receive and return arrays of times.
+    The propagator of h_w at u then equals the inner propagator at warp(u),
     which is what reparameterization invariance of the geometric phase
     is about. Jump locations of inner must be supplied as preimages in
     breakpoints (the natural warps used here are smooth over smooth
@@ -219,7 +228,7 @@ def make_warped(inner, warp, dwarp, duration, breakpoints=()):
         dim=inner.dim,
         kind="Warped",
         domain=(0.0, duration),
-        fn=lambda u: dwarp(u) * inner.fn(warp(u)),
+        fn=lambda u: dwarp(u)[:, None, None] * inner.fn(warp(u)),
         breakpoints=tuple(breakpoints),
     )
 
@@ -231,7 +240,9 @@ def make_quadratic_warp(inner, T):
 
 def make_zero(dim):
     """The zero schedule (free evolution), defined for all t."""
-    Z = np.zeros((dim, dim), dtype=complex)
     return HamiltonianSchedule(
-        dim=dim, kind="Constant", domain=UNBOUNDED, fn=lambda t: Z
+        dim=dim,
+        kind="Constant",
+        domain=UNBOUNDED,
+        fn=lambda t: np.zeros((len(t), dim, dim), dtype=complex),
     )

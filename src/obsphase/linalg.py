@@ -139,7 +139,7 @@ def expm_skew_many(Hs, s, tol=HERMITICITY_TOL):
     """exp(-i s H_k) for a stack of Hermitian matrices, batched."""
     Hs = np.asarray(Hs, dtype=complex)
     dev = np.linalg.norm(Hs - np.conj(np.swapaxes(Hs, -1, -2)), axis=(-2, -1))
-    if np.any(dev > tol):
+    if not np.all(dev <= tol):  # a NaN deviation fails the test too
         raise NotHermitianError(
             f"batch contains a non-Hermitian generator (worst deviation {dev.max():.3e})"
         )

@@ -11,7 +11,7 @@ import numpy as np
 from dataclasses import dataclass
 from itertools import permutations
 
-import scipy.optimize
+import scipy  # scipy.optimize loads on first use, not at import
 
 from .errors import (
     DegenerateSpectrumError,

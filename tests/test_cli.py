@@ -433,3 +433,44 @@ DEMO_SCENARIOS = sorted(
 def test_demo_scenarios_run(path, tmp_path):
     assert main(["run", str(path), "--out", str(tmp_path)]) == 0
     assert any(tmp_path.iterdir())
+
+
+# ------------------------------------------------ negative drive frequency
+
+
+def test_negative_drive_frequency_runs_one_period(tmp_path):
+    from obsphase.gates import cyclic_tilt, tilted_observable
+    from obsphase.linalg import sigma_z
+    from obsphase.obspace import from_observable
+    from obsphase.propagation import closed_form_rotating
+
+    w0, w1, w, steps = 1.0, 3.0, -2.0, 4096
+    for system in ("rotating-field", "two-loop"):
+        path = write_scenario(
+            tmp_path,
+            scenario(name=system, system=system, params={"w0": w0, "w1": w1, "w": w}),
+            f"{system}.json",
+        )
+        assert main(["run", path, "--out", str(tmp_path)]) == 0
+
+    # one period is 2pi/|w|; theta from the exact propagator, gamma from
+    # the rotating components averaging out over the period
+    T = 2 * np.pi / abs(w)
+    vectors = from_observable(tilted_observable(cyclic_tilt(w0, w1, w))).vectors
+    U = closed_form_rotating(w0, w1, w, T)
+    theta = np.angle(np.einsum("in,ij,jn->n", vectors.conj(), U.conj().T, vectors))
+    gamma = -(w1 / 2) * T * np.einsum("in,ij,jn->n", vectors.conj(), sigma_z, vectors).real
+    width = np.hypot(w0, w1 + w) + abs(w)
+    allowance = 1e-9 + width**3 * T * (T / steps) ** 2 / 12
+    report = read_report(tmp_path, "rotating-field")
+    assert circ_dist(report["beta"], theta - gamma) <= allowance
+
+
+def test_sweep_values_are_validated_before_the_csv_is_opened(tmp_path, capsys):
+    path = write_scenario(tmp_path, scenario(params={"mu_B": 1.0, "phi": 0.5}))
+    out = tmp_path / "out"
+    assert main(["sweep", path, "--param", "T", "--range=-1:1:3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "/params/T" in err
+    assert "Traceback" not in err
+    assert not out.exists()

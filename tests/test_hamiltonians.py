@@ -146,3 +146,92 @@ def test_warped_quadratic():
 def test_zero_schedule():
     h = make_zero(3)
     assert np.allclose(h.eval(12.3), np.zeros((3, 3)))
+
+
+# ------------------------------------------------- array evaluation
+
+
+def rotating_point(w0, w1, w, t):
+    """Per-time reference of the rotating field."""
+    return -0.5 * (
+        w0 * np.cos(w * t) * sigma_x + w0 * np.sin(w * t) * sigma_y + w1 * sigma_z
+    )
+
+
+def tabulated_point(times, samples, t):
+    """Per-time reference of entrywise linear interpolation."""
+    k = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2))
+    lam = min(max((t - times[k]) / (times[k + 1] - times[k]), 0.0), 1.0)
+    return (1 - lam) * samples[k] + lam * samples[k + 1]
+
+
+def every_schedule_kind():
+    """(name, schedule, per-time reference, times inside the domain)."""
+    w0, w1, w, T = 1.0, 3.0, 2.0, np.pi
+    rot = make_rotating(w0, w1, w)
+    rng = np.random.default_rng(17)
+    A = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    samples = A + np.conj(np.swapaxes(A, 1, 2))
+    tab_times = np.array([0.0, 0.4, 1.5, 2.0])
+    ts = np.concatenate([np.linspace(0.0, T, 37), [T / 2, 0.4, 1.5]])
+    ts2 = np.concatenate([np.linspace(0.0, 2 * T, 41), [T, T - 1e-9, T + 1e-9]])
+    return [
+        ("constant", make_constant_z(1.3), lambda t: -0.65 * sigma_z, ts),
+        ("rotating", rot, lambda t: rotating_point(w0, w1, w, t), ts),
+        ("reversed", make_reversed(rot, T), lambda t: -rotating_point(w0, w1, w, T - t), ts),
+        (
+            "two-loop",
+            make_two_loop(rot, T),
+            lambda t: rotating_point(w0, w1, w, t) if t < T
+            else -rotating_point(w0, w1, w, 2 * T - t),
+            ts2,
+        ),
+        (
+            "block",
+            make_block_two_qubit(make_constant_z(1.0), rot),
+            lambda t: np.block(
+                [[-0.5 * sigma_z, np.zeros((2, 2))],
+                 [np.zeros((2, 2)), rotating_point(w0, w1, w, t)]]
+            ),
+            ts,
+        ),
+        (
+            "tabulated",
+            make_tabulated(tab_times, samples),
+            lambda t: tabulated_point(tab_times, samples, t),
+            np.concatenate([np.linspace(0.0, 2.0, 29), tab_times]),
+        ),
+        (
+            "warped",
+            make_quadratic_warp(rot, T),
+            lambda u: (2 * u / T) * rotating_point(w0, w1, w, u * u / T),
+            ts,
+        ),
+        ("shifted", rot.shifted(0.7), lambda u: rotating_point(w0, w1, w, u + 0.7), ts),
+        ("zero", make_zero(3), lambda t: np.zeros((3, 3)), ts),
+    ]
+
+
+SCHEDULE_KINDS = every_schedule_kind()
+
+
+@pytest.mark.parametrize("name, h, point, ts", SCHEDULE_KINDS, ids=[k[0] for k in SCHEDULE_KINDS])
+def test_array_eval_matches_scalar_evals(name, h, point, ts):
+    stack = h.eval(ts)
+    assert stack.shape == (len(ts), h.dim, h.dim)
+    scalar = np.stack([h.eval(t) for t in ts])
+    assert scalar.shape == stack.shape
+    assert np.max(np.abs(stack - scalar)) <= 1e-15
+    assert np.max(np.abs(stack - np.stack([point(t) for t in ts]))) <= 1e-15
+
+
+def test_array_eval_rejects_one_time_outside_the_domain():
+    h = make_two_loop(make_rotating(1.0, 0.0, 2.0), np.pi)
+    ts = np.linspace(0.0, 2 * np.pi, 9)
+    ts[5] = 2 * np.pi + 0.25
+    with pytest.raises(ScheduleDomainError, match="t=6.53"):
+        h.eval(ts)
+    ts[5] = np.nan
+    with pytest.raises(ScheduleDomainError):
+        h.eval(ts)
+

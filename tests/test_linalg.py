@@ -147,3 +147,9 @@ def test_operator_norm():
     rng = np.random.default_rng(9)
     A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     assert abs(operator_norm(A) - np.linalg.svd(A, compute_uv=False)[0]) < 1e-12
+
+
+def test_expm_skew_many_rejects_nan_generators():
+    Hs = np.stack([sigma_x, np.full((2, 2), np.nan)]).astype(complex)
+    with pytest.raises(NotHermitianError):
+        expm_skew_many(Hs, 0.5)

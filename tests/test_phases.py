@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.integrate
 
 from obsphase.errors import (
     CrossCheckError,
@@ -249,3 +250,45 @@ def test_geometric_phases_cross_check_guard():
     wrong_h = make_rotating(1.0, 0.0, 2.0)
     with pytest.raises(CrossCheckError):
         geometric_phases(p, wrong_h, rotating_observable(w0, w1, w)[0])
+
+
+def per_point_dynamical_phase(h, psi, T, steps):
+    """Reference: one eval per Simpson node and scipy's simpson, on the
+    same segments and with the same one-sided nudge at cuts."""
+    cuts = [b for b in h.breakpoints if 0.0 < b < T]
+    edges = [0.0] + cuts + [T]
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        n = max(2, 2 * round(steps * (b - a) / (2 * T)))
+        t = np.linspace(a, b, n + 1)
+        where = t.copy()
+        if a in cuts:
+            where[0] = a + 1e-9 * (b - a)
+        if b in cuts:
+            where[-1] = b - 1e-9 * (b - a)
+        y = np.array([np.real(psi.conj() @ h.eval(s) @ psi) for s in where])
+        total += scipy.integrate.simpson(y, x=t)
+    return float(total)
+
+
+def test_dynamical_phase_matches_per_point_simpson():
+    w0, w1, w = 1.0, 3.0, 2.0
+    T = TWO_PI / w
+    rng = np.random.default_rng(41)
+    A = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
+    tab_times = np.array([0.0, 0.3, 1.1, 1.2, 2.5, 3.0])
+    cases = [
+        # jumps at T; stopping at 1.5 T keeps the two loops from cancelling
+        (make_two_loop(make_rotating(w0, w1, w), T), 1.5 * T),
+        (make_tabulated(tab_times, A + np.conj(np.swapaxes(A, 1, 2))), 3.0),
+    ]
+    kets = [
+        np.array([np.cos(0.4), np.sin(0.4)], dtype=complex),
+        normalize(rng.normal(size=2) + 1j * rng.normal(size=2)),
+    ]
+    for h, duration in cases:
+        for psi in kets:
+            for steps in (64, 4096):
+                got = dynamical_phase(h, psi, duration, steps)
+                want = per_point_dynamical_phase(h, psi, duration, steps)
+                assert abs(got - want) <= 1e-12

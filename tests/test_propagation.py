@@ -12,9 +12,10 @@ from obsphase.hamiltonians import (
     make_rotating,
     make_tabulated,
     make_two_loop,
+    make_warped,
     make_zero,
 )
-from obsphase.linalg import sigma_x, sigma_y, sigma_z
+from obsphase.linalg import expm_skew_many, sigma_x, sigma_y, sigma_z
 from obsphase.propagation import (
     closed_form_rotating,
     exact_constant_propagator,
@@ -148,3 +149,46 @@ def test_heisenberg_evolve_properties():
         heisenberg_evolve(p, np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
     with pytest.raises(DimensionMismatchError):
         heisenberg_evolve(p, np.eye(3), 1)
+
+
+# ------------------------------------- blocked product and sampled stack
+
+
+def sequential_propagator(h, T, steps):
+    """Reference: one eval per midpoint and U_{k+1} = S_k U_k, step by step."""
+    dt = T / steps
+    mids = np.linspace(0.0, T, steps + 1)[:-1] + dt / 2
+    step_U = expm_skew_many(np.stack([h.eval(t) for t in mids]), dt)
+    unitaries = np.empty((steps + 1, h.dim, h.dim), dtype=complex)
+    unitaries[0] = np.eye(h.dim)
+    for k in range(steps):
+        unitaries[k + 1] = step_U[k] @ unitaries[k]
+    return unitaries
+
+
+def unitarity_drift(unitaries):
+    d = unitaries.shape[1]
+    gram = np.conj(np.swapaxes(unitaries, 1, 2)) @ unitaries
+    return float(np.max(np.linalg.norm(gram - np.eye(d), axis=(1, 2))))
+
+
+@pytest.mark.parametrize("steps", [8, 9, 10, 8192])
+def test_blocked_product_matches_sequential_loop(steps):
+    rng = np.random.default_rng(29)
+    A = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    tabulated = make_tabulated(np.linspace(0.0, 2.0, 5), A + np.conj(np.swapaxes(A, 1, 2)))
+    for h, T in ((make_rotating(1.0, 3.0, 2.0), np.pi), (tabulated, 2.0)):
+        blocked = solve(h, T, steps=steps).unitaries
+        reference = sequential_propagator(h, T, steps)
+        assert blocked.shape == reference.shape
+        assert np.max(np.linalg.norm(blocked - reference, axis=(1, 2))) <= 1e-13
+        # the same rounding, associated differently: drift within noise of the loop's
+        assert unitarity_drift(blocked) <= 1.5 * unitarity_drift(reference) + 1e-15
+
+
+def test_non_finite_schedule_samples_are_refused():
+    h, T = make_rotating(1.0, 3.0, 2.0), np.pi
+    # a derivative that is NaN past u = 1; the first midpoint there is 1.00629
+    nan_tail = make_warped(h, lambda u: u, lambda u: np.where(u > 1.0, np.nan, 1.0), T)
+    with pytest.raises(ScheduleDomainError, match=r"not finite at t=1\.006"):
+        solve(nan_tail, T, steps=64)
