@@ -151,6 +151,20 @@ def _check_params(params, system):
     _want(params.get("T", 1.0) > 0, "/params/T", "duration must be positive")
 
 
+# the propagator holds steps + 1 complex d x d matrices, 16 (steps + 1) d^2 bytes
+_MAX_STACK_BYTES = 256 * 2**20
+
+
+def _check_steps(steps, sc):
+    dim = sc["_samples"].shape[1] if "_samples" in sc else 2
+    limit = _MAX_STACK_BYTES // (16 * dim * dim) - 1
+    _want(
+        steps <= limit,
+        "/params/steps",
+        f"the propagator stack must fit in 256 MiB: at most {limit} steps at d = {dim}",
+    )
+
+
 def validate_scenario(raw):
     """Check a parsed scenario against the published schema and fill in
     defaults. Returns the normalized scenario dict; raises ScenarioError
@@ -277,6 +291,8 @@ def validate_scenario(raw):
     else:
         _want("schedule" not in raw, "/schedule", f"not allowed for system {system}")
         _want("observable" not in raw, "/observable", f"not allowed for system {system}")
+    if "steps" in params:
+        _check_steps(params["steps"], sc)
 
     return sc
 
@@ -598,8 +614,9 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         sc = validate_scenario(load_scenario(args.scenario))
-        if args.steps is not None and args.steps < 8:
-            raise ScenarioError("/params/steps", "expected an integer >= 8")
+        if args.steps is not None:
+            _want(args.steps >= 8, "/params/steps", "expected an integer >= 8")
+            _check_steps(args.steps, sc)
         if args.tol is not None and not (_is_real(args.tol) and args.tol > 0):
             raise ScenarioError("", f"--tol must be positive and finite, got {args.tol:g}")
         if args.command == "run":

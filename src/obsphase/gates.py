@@ -121,6 +121,10 @@ def read_two_loop_gate(p, report, X0, phi):
     M = obs.vectors.conj().T @ gate @ obs.vectors
     perm, _, _ = match_columns(M, tol=1e-6)
     beta = float(wrap_angle(np.angle(M[perm[0], 0])))
+    # rounding can leave the phase of an identity gate at -1e-15, which
+    # wraps to just below 2pi; that phase is 0
+    if TWO_PI - beta <= 1e-12:
+        beta = 0.0
     return gate, GateSpec(phi=float(phi), beta=beta)
 
 

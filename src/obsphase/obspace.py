@@ -206,7 +206,14 @@ def _refine(A, start):
     return float(res.fun)
 
 
-def _min_over_phases(A, grid_points):
+def _min_over_phases(A, grid_points, bound):
+    # the phase-aligned point puts |A_nn| on the diagonal of U; where its
+    # value meets the pairing's lower bound it is the minimum (always at
+    # d = 2, and for a gauge copy at any d), and nothing is searched
+    aligned = -np.angle(np.diag(A))
+    at_aligned = _eig_objective(A, aligned)
+    if at_aligned <= bound + 1e-12:
+        return at_aligned
     d = A.shape[0]
     angles = np.arange(grid_points) * TWO_PI / grid_points
     mesh = np.meshgrid(*([angles] * d), indexing="ij")
@@ -216,10 +223,9 @@ def _min_over_phases(A, grid_points):
     vals = np.max(np.abs(1.0 - lam), axis=1)
     best = int(np.argmin(vals))
     out = min(float(vals[best]), _refine(A, thetas[best]))
-    # the phase-aligned point is exact when the pairing is a gauge copy;
-    # refining it as well can only lower what the grid start reached
-    aligned = -np.angle(np.diag(A))
-    if _eig_objective(A, aligned) < out:
+    # refining the aligned point as well can only lower what the grid
+    # start reached
+    if at_aligned < out:
         out = min(out, _refine(A, aligned))
     return out
 
@@ -229,12 +235,20 @@ def distance_DW(O: OrthDecomposition, O2: OrthDecomposition):
     unitaries U carrying the frame of O onto the frame of O2, i.e. over
     every pairing of levels and every choice of per-level phases.
 
-    Each pairing is refined by Nelder-Mead from the minimum of a coarse
-    phase grid, and again from the phase-aligned point when that lies
-    below the first result: exact to about 1e-6 for d = 2, and 0 to
-    rounding against a permuted and rephased copy for d <= 4. For d >= 3 the refinement can stall on the kinked objective, so on
-    generic pairs the result is an upper bound that may sit above the
-    minimum; for d > 4 only the max-overlap pairing is searched.
+    Pairing sigma is bounded below by max_n sqrt(2 - 2 |A_{n, sigma(n)}|),
+    A the overlap matrix, since ||(I - U) e_n||^2 = 2 - 2 Re U_nn. The
+    pairings are visited in ascending bound, and the search stops at the
+    first whose bound is at or above the best value found: no pairing
+    skipped could return less. Each pairing first tries the
+    phase-aligned point; if its value is within 1e-12 of the bound it
+    is the pairing's minimum. That holds at d = 2 and for a permuted and
+    rephased copy at any d, so both are exact to 1e-12. Otherwise the
+    pairing is refined by Nelder-Mead from the minimum of a coarse phase
+    grid, and again from the phase-aligned point when that lies below
+    the first result. For d >= 3 the refinement can stall on the kinked
+    objective, so on generic pairs the result is an upper bound that may
+    sit above the minimum; for d > 4 only the max-overlap pairing is
+    searched.
     """
     if O.dim != O2.dim:
         raise DimensionMismatchError("decompositions live in different dimensions")
@@ -247,14 +261,21 @@ def distance_DW(O: OrthDecomposition, O2: OrthDecomposition):
         O, O2 = O2, O
     A = O.vectors.conj().T @ O2.vectors
     if d <= 4:
-        perms = list(permutations(range(d)))
+        perms = permutations(range(d))
     else:
         p, _, _ = match_columns(A, tol=2.0)
         perms = [tuple(int(x) for x in np.argsort(p))]
+    overlaps = np.abs(A)
+    bounded = sorted(
+        (float(np.sqrt(max(0.0, 2 - 2 * overlaps[range(d), sigma].min()))), sigma)
+        for sigma in perms
+    )
     grid_points = _GRID_POINTS.get(d, 8)
     best = np.inf
-    for sigma in perms:
-        best = min(best, _min_over_phases(A[:, list(sigma)], grid_points))
+    for bound, sigma in bounded:
+        if bound >= best:
+            break
+        best = min(best, _min_over_phases(A[:, list(sigma)], grid_points, bound))
     return best
 
 

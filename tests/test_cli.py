@@ -82,6 +82,49 @@ def test_too_few_steps_rejected():
     assert err.value.pointer == "/params/steps"
 
 
+def test_steps_beyond_the_propagator_memory_cap_are_rejected():
+    # 16 (steps + 1) d^2 bytes must fit in 256 MiB; validation only, no solve
+    for steps, ok in ((1e9, False), (4194304, False), (4194303, True)):
+        sc = scenario()
+        sc["params"]["steps"] = steps
+        if ok:
+            assert validate_scenario(sc)["params"]["steps"] == steps
+            continue
+        with pytest.raises(ScenarioError) as err:
+            validate_scenario(sc)
+        assert err.value.pointer == "/params/steps"
+
+
+def test_steps_cap_follows_the_tabulated_dimension():
+    # at d = 3 the cap is 256 MiB // 144 - 1 = 1864134 steps
+    H = [[[[float(i == j) * (i + 1), 0.0] for j in range(3)] for i in range(3)]] * 2
+    for steps, ok in ((1864134, True), (1864135, False)):
+        sc = scenario(
+            system="custom-tabulated",
+            params={"steps": steps},
+            schedule={"times": [0.0, 1.0], "matrices": H},
+            observable=H[0],
+        )
+        if ok:
+            validate_scenario(sc)
+            continue
+        with pytest.raises(ScenarioError) as err:
+            validate_scenario(sc)
+        assert err.value.pointer == "/params/steps"
+
+
+def test_main_rejects_oversized_steps_override(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("an oversized --steps must not reach the pipeline")
+
+    monkeypatch.setattr("obsphase.cli.run_scenario", no_run)
+    monkeypatch.setattr("obsphase.cli.sweep_scenario", no_run)
+    path = write_scenario(tmp_path, scenario(params={"mu_B": 1.0, "phi": 0.5}))
+    assert main(["run", path, "--steps", "4194304"]) == 2
+    assert main(["sweep", path, "--param", "phi", "--range", "0:1:3", "--steps", "1000000000"]) == 2
+    assert "/params/steps" in capsys.readouterr().err
+
+
 def test_unknown_system_check_and_output_are_rejected():
     with pytest.raises(ScenarioError):
         validate_scenario(scenario(system="spin-chain"))

@@ -174,3 +174,10 @@ def test_two_loop_tilt_angle_tracks_parameters():
 def test_two_loop_odd_step_request_is_rounded_up():
     gate, _, _ = two_loop_protocol(1.0, 0.0, 2.0, steps=511)
     assert np.linalg.norm(gate - np.eye(2)) < 1e-3
+
+
+def test_identity_gate_reads_beta_zero_not_two_pi():
+    # rounding leaves the identity gate's phase at about -1e-15, which
+    # wraps to just below 2pi unless the library reads it as 0
+    _, _, spec = two_loop_protocol(1.0, 3.0, 2.0, steps=8192)
+    assert 0.0 <= spec.beta <= 1e-12

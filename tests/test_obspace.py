@@ -1,6 +1,11 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import obsphase.obspace as obspace
 from obsphase.errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
@@ -262,3 +267,65 @@ def test_distance_to_own_gauge_copy_is_zero():
             F = q * np.exp(-1j * np.angle(np.diag(r)))
             G = F[:, rng.permutation(d)] * np.exp(1j * rng.uniform(0, 2 * np.pi, d))
             assert distance_DW(OrthDecomposition(F), OrthDecomposition(G)) <= 1e-12
+
+
+def _gauge_pair(rng, d):
+    # a frame and a permuted, rephased copy of it, built as in the test above
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    F = q * np.exp(-1j * np.angle(np.diag(r)))
+    G = F[:, rng.permutation(d)] * np.exp(1j * rng.uniform(0, 2 * np.pi, d))
+    return OrthDecomposition(F), OrthDecomposition(G)
+
+
+def unpruned_distance(O, O2):
+    # every pairing searched in full: grid, Nelder-Mead and the aligned
+    # refine, with no lower bound to prune on or to certify against
+    ka, kb = np.round(O.vectors, 10).tobytes(), np.round(O2.vectors, 10).tobytes()
+    if kb < ka:
+        O, O2 = O2, O
+    A = O.vectors.conj().T @ O2.vectors
+    d = O.dim
+    return min(
+        obspace._min_over_phases(A[:, list(sigma)], obspace._GRID_POINTS.get(d, 8), -np.inf)
+        for sigma in permutations(range(d))
+    )
+
+
+def test_pruning_returns_the_unpruned_minimum_bit_for_bit():
+    for d, seed, pairs in ((3, 21, 4), (4, 22, 1)):
+        rng = np.random.default_rng(seed)
+        for _ in range(pairs):
+            O, O2 = haar_frame(rng, d), haar_frame(rng, d)
+            assert distance_DW(O, O2) == unpruned_distance(O, O2)
+
+
+def test_d2_and_gauge_copies_need_no_search(monkeypatch):
+    def no_search(A, start):
+        raise AssertionError("the phase-aligned point should have been certified")
+
+    monkeypatch.setattr(obspace, "_refine", no_search)
+    rng = np.random.default_rng(53)
+    for _ in range(10):
+        O, O2 = haar_frame(rng), haar_frame(rng)
+        assert abs(distance_DW(O, O2) - dw_closed_form(O, O2)) <= 1e-12
+    for d, pairs in ((3, 6), (4, 1)):
+        rng = np.random.default_rng(5)
+        for _ in range(pairs):
+            assert distance_DW(*_gauge_pair(rng, d)) <= 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    perm=st.permutations([0, 1]),
+    phases=st.lists(st.floats(0.0, 2 * np.pi), min_size=2, max_size=2),
+)
+def test_d2_distance_properties(seed, perm, phases):
+    rng = np.random.default_rng(seed)
+    F, G = haar_frame(rng), haar_frame(rng)
+    D = distance_DW(F, G)
+    assert distance_DW(G, F) == D
+    assert abs(D - dw_closed_form(F, G)) <= 1e-12
+    G_copy = OrthDecomposition(G.vectors[:, list(perm)] * np.exp(1j * np.array(phases)))
+    assert abs(distance_DW(F, G_copy) - D) <= 1e-12
