@@ -62,10 +62,14 @@ def _float_list(xs):
     return [_round12(x) for x in np.atleast_1d(xs)]
 
 
+# the least double that %.12g prints as 2pi: the literal 6.283185307175
+# is stored just below the halfway point and prints as 6.28318530717
+_PRINTS_AS_TWO_PI = np.nextafter(6.283185307175, 7.0)
+
+
 def _angle(x):
     # a wrapped angle just below 2pi would round up to 2pi; it is 0
-    x = _round12(x)
-    return 0.0 if x == _round12(TWO_PI) else x
+    return 0.0 if x >= _PRINTS_AS_TWO_PI else _round12(x)
 
 
 def _matrix_json(M):
@@ -74,7 +78,24 @@ def _matrix_json(M):
 
 
 def _fmt(x):
-    return f"{_round12(x):.12g}"
+    # the same string as printing _round12(x): 12 digits read back and
+    # printed again do not change
+    return "%.12g" % x
+
+
+# CSV rows formatted per call, so the text in memory does not grow with
+# the step count
+_CSV_BLOCK_ROWS = 1024
+
+
+def _write_csv(path, columns, table):
+    """Write a header of column names and one %.12g row per table row."""
+    line = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    with open(path, "w") as f:
+        f.write(", ".join(columns) + "\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start : start + _CSV_BLOCK_ROWS]
+            f.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------- validation
@@ -424,45 +445,29 @@ def _base_report(sc):
     }
 
 
-def _curve_rows(p, X0):
-    """Per grid point, as CSV cells: time, Bloch coordinates of the
-    lowest-level projector (dimension 2 only), and the running holonomy
-    phases."""
+def _curve(p, X0):
+    """Column names and one row per grid point: time, Bloch coordinates
+    of the lowest-level projector (dimension 2 only), and the running
+    holonomy phases, where one that would print as 2pi is 0."""
     obs = from_observable(X0)
     hor = horizontal_lift(lift_from_propagator(p, obs))
     frames = hor.unitaries @ obs.vectors
     overlaps = np.einsum("in,kin->kn", frames[0].conj(), frames[1:])
-    running = np.vstack(
-        [np.zeros(obs.dim), wrap_angle(np.angle(overlaps))]
-    )
-    rows = []
-    for k, t in enumerate(p.grid):
-        row = [_fmt(t)]
-        if obs.dim == 2:
-            v = frames[k, :, 0]
-            row += [
-                _fmt((v.conj() @ S @ v).real) for S in (sigma_x, sigma_y, sigma_z)
-            ]
-        row += [_fmt(_angle(b)) for b in running[k]]
-        rows.append(row)
-    return rows
-
-
-def _write_curve_csv(path, p, X0, bloch_only=False):
-    rows = _curve_rows(p, X0)
-    d = X0.shape[0]
-    running = ", ".join(f"beta_running_{n + 1}" for n in range(d))
-    if bloch_only:
-        header = "t, n_x, n_y, n_z"
-        rows = [r[:4] for r in rows]
-    elif d == 2:
-        header = f"t, n_x, n_y, n_z, {running}"
-    else:
-        header = f"t, {running}"
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for r in rows:
-            f.write(",".join(r) + "\n")
+    running = np.vstack([np.zeros(obs.dim), wrap_angle(np.angle(overlaps))])
+    running[running >= _PRINTS_AS_TWO_PI] = 0.0
+    columns = ["t"]
+    parts = [p.grid[:, None]]
+    if obs.dim == 2:
+        # <v|S|v> as (v^dag S) v, in that order: an einsum or a summed
+        # product differs from v.conj() @ S @ v in the last bit
+        v = frames[:, :, 0]
+        columns += ["n_x", "n_y", "n_z"]
+        parts += [
+            ((v.conj()[:, None, :] @ S) @ v[:, :, None])[:, 0].real
+            for S in (sigma_x, sigma_y, sigma_z)
+        ]
+    columns += [f"beta_running_{n + 1}" for n in range(obs.dim)]
+    return columns, np.hstack(parts + [running])
 
 
 def _fill_cnot(report, params):
@@ -499,6 +504,9 @@ def run_scenario(sc, out_dir=".", steps=None, tol=None):
             _invariance_residuals(sc, p, h, T, X0, n, phase_report)
         )
 
+    if {"curve_csv", "bloch_csv"} & set(sc["outputs"]):
+        columns, curve = _curve(p, X0)
+
     artifacts = []
     for kind in sc["outputs"]:
         if kind == "report":
@@ -508,10 +516,10 @@ def run_scenario(sc, out_dir=".", steps=None, tol=None):
                 f.write("\n")
         elif kind == "curve_csv":
             path = os.path.join(out_dir, f"{name}-curve.csv")
-            _write_curve_csv(path, p, X0)
+            _write_csv(path, columns, curve)
         else:
             path = os.path.join(out_dir, f"{name}-bloch.csv")
-            _write_curve_csv(path, p, X0, bloch_only=True)
+            _write_csv(path, columns[:4], curve[:, :4])
         artifacts.append(path)
     return artifacts
 

@@ -266,10 +266,12 @@ def distance_DW(O: OrthDecomposition, O2: OrthDecomposition):
         p, _, _ = match_columns(A, tol=2.0)
         perms = [tuple(int(x) for x in np.argsort(p))]
     overlaps = np.abs(A)
-    bounded = sorted(
-        (float(np.sqrt(max(0.0, 2 - 2 * overlaps[range(d), sigma].min()))), sigma)
-        for sigma in perms
-    )
+    # 2 - 2|A_nm| = 2 r_nm / (1 + |A_nm|), with r_nm = 1 - |A_nm|^2 summed
+    # over the rest of row n: no subtraction, so the bound keeps its
+    # digits when |A_nm| rounds to 1
+    rest = overlaps**2 @ (1 - np.eye(d))
+    pair_bounds = np.sqrt(2 * rest / (1 + overlaps))
+    bounded = sorted((float(pair_bounds[range(d), sigma].max()), sigma) for sigma in perms)
     grid_points = _GRID_POINTS.get(d, 8)
     best = np.inf
     for bound, sigma in bounded:

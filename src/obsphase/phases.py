@@ -11,6 +11,8 @@ independently, the holonomy of the horizontal lift of the projected
 curve; geometric_phases computes both and cross-checks them.
 """
 
+import math
+
 import numpy as np
 from dataclasses import dataclass
 
@@ -152,9 +154,14 @@ def geometric_phases(
     gaps = circular_distance(beta, hol.betas)
     cross = float(np.max(gaps))
     if cross > cross_tol:
+        # both routes carry the O(dt^2) step error, so each doubling of
+        # the steps divides the gap by about 4
+        doublings = max(1, math.ceil(math.log(cross / cross_tol, 4)))
         raise CrossCheckError(
             f"phase-difference route and holonomy route disagree: "
-            f"max gap {cross:.3e} > {cross_tol:g} (beta {beta}, holonomy {hol.betas})"
+            f"max gap {cross:.3e} > {cross_tol:g} at {p.steps} steps "
+            f"(beta {beta}, holonomy {hol.betas}); the O(dt^2) rate predicts "
+            f"that {p.steps * 2**doublings} steps pass"
         )
     return PhaseReport(
         theta=cyc.thetas,

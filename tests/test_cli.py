@@ -517,3 +517,137 @@ def test_sweep_values_are_validated_before_the_csv_is_opened(tmp_path, capsys):
     assert "/params/T" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# ------------------------------------------- CSV bytes against per-row code
+
+
+def _round12(x):
+    return float(f"{float(x):.12g}")
+
+
+def _row_cell(x):
+    return f"{_round12(x):.12g}"
+
+
+def _row_angle(x):
+    x = _round12(x)
+    return 0.0 if x == _round12(2 * np.pi) else x
+
+
+def per_row_curve_csv(p, X0, bloch_only=False):
+    """The curve CSV built one grid point at a time, each cell rounded
+    to 12 digits and printed again: the reference for the CLI writer."""
+    from obsphase.bundle import horizontal_lift, lift_from_propagator
+    from obsphase.linalg import sigma_x, sigma_y, sigma_z
+    from obsphase.obspace import from_observable
+
+    obs = from_observable(X0)
+    hor = horizontal_lift(lift_from_propagator(p, obs))
+    frames = hor.unitaries @ obs.vectors
+    overlaps = np.einsum("in,kin->kn", frames[0].conj(), frames[1:])
+    running = np.vstack([np.zeros(obs.dim), np.angle(overlaps) % (2 * np.pi)])
+    columns = ["t"] + (["n_x", "n_y", "n_z"] if obs.dim == 2 else [])
+    if not bloch_only:
+        columns += [f"beta_running_{n + 1}" for n in range(obs.dim)]
+    lines = [", ".join(columns)]
+    for k, t in enumerate(p.grid):
+        row = [_row_cell(t)]
+        if obs.dim == 2:
+            v = frames[k, :, 0]
+            row += [_row_cell((v.conj() @ S @ v).real) for S in (sigma_x, sigma_y, sigma_z)]
+        if not bloch_only:
+            row += [_row_cell(_row_angle(b)) for b in running[k]]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _pairs(M):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M, dtype=complex)]
+
+
+def _tabulated_d3(steps):
+    # a triangular spin-1 z drive: U(T) = I, with the kink at pi on a node
+    Jz = np.diag([1.0, 0.0, -1.0])
+    X0 = [[1.0, 0.5, 0.2], [0.5, 2.0, 0.3j], [0.2, -0.3j, 3.5]]
+    return scenario(
+        system="custom-tabulated",
+        params={"steps": steps},
+        schedule={
+            "times": [0.0, np.pi, 2 * np.pi],
+            "matrices": [_pairs(0 * Jz), _pairs(2 * Jz), _pairs(0 * Jz)],
+        },
+        observable=_pairs(X0),
+        outputs=["curve_csv"],
+    )
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # d = 2, both files; one running phase prints as 2pi and is written 0
+        scenario(
+            system="rotating-field",
+            params={"w0": 1.0, "w1": 3.0, "w": 2.0, "steps": 1024},
+            outputs=["curve_csv", "bloch_csv"],
+        ),
+        # d = 3 has no Bloch columns; 14 running phases print as 2pi
+        _tabulated_d3(1024),
+    ],
+    ids=["rotating-d2", "tabulated-d3"],
+)
+def test_curve_csv_bytes_match_the_per_row_reference(raw, tmp_path):
+    from obsphase.cli import _build_problem
+
+    sc = validate_scenario(raw)
+    run_scenario(sc, out_dir=str(tmp_path))
+    h, T, X0, n = _build_problem(sc, None)
+    p = solve(h, T, steps=n)
+    assert (tmp_path / "t-curve.csv").read_text() == per_row_curve_csv(p, X0)
+    if "bloch_csv" in sc["outputs"]:
+        assert (tmp_path / "t-bloch.csv").read_text() == per_row_curve_csv(p, X0, bloch_only=True)
+
+
+def test_a_run_lifts_the_curve_once_for_both_csv_files(tmp_path, monkeypatch):
+    import obsphase.cli as cli
+    import obsphase.phases as phases
+
+    calls = []
+
+    def counted(original):
+        def horizontal_lift(lift):
+            calls.append(1)
+            return original(lift)
+
+        return horizontal_lift
+
+    for module in (cli, phases):
+        monkeypatch.setattr(module, "horizontal_lift", counted(module.horizontal_lift))
+    sc = validate_scenario(scenario(outputs=["report", "curve_csv", "bloch_csv"]))
+    run_scenario(sc, out_dir=str(tmp_path))
+    # one for the holonomy cross-check, one for both CSV files
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("path", DEMO_SCENARIOS, ids=lambda p: p.stem)
+def test_demo_outputs_are_byte_identical_across_runs(path, tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    for out in (first, second):
+        assert main(["run", str(path), "--out", str(out)]) == 0
+    names = sorted(f.name for f in first.iterdir())
+    assert names == sorted(f.name for f in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_cross_check_failure_names_the_step_count_that_passes(tmp_path, capsys):
+    path = write_scenario(
+        tmp_path,
+        scenario(system="rotating-field", params={"w0": 1.0, "w1": 3.0, "w": -2.0, "steps": 1024}),
+    )
+    assert main(["run", path, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "CrossCheckError" in err
+    assert "max gap 1.241e-05 > 1e-05 at 1024 steps" in err
+    assert "predicts that 2048 steps pass" in err
+    assert main(["run", path, "--out", str(tmp_path), "--steps", "2048"]) == 0

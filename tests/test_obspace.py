@@ -329,3 +329,15 @@ def test_d2_distance_properties(seed, perm, phases):
     assert abs(D - dw_closed_form(F, G)) <= 1e-12
     G_copy = OrthDecomposition(G.vectors[:, list(perm)] * np.exp(1j * np.array(phases)))
     assert abs(distance_DW(F, G_copy) - D) <= 1e-12
+
+
+def test_d2_frames_1e9_apart_need_no_search(monkeypatch):
+    def no_search(A, start):
+        raise AssertionError("the phase-aligned point should have been certified")
+
+    monkeypatch.setattr(obspace, "_refine", no_search)
+    # half-angle frames phi apart are 2 sin(phi / 4) apart; the bound
+    # sqrt(2 - 2|A_nn|) would read 0 here, far below the aligned value
+    phi = 1e-9
+    D = distance_DW(half_angle_frame(0.0), half_angle_frame(phi))
+    assert abs(D - 2 * np.sin(phi / 4)) <= 1e-15
