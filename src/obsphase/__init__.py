@@ -68,6 +68,7 @@ from .obspace import (
     from_observable,
     gauge_from_unitary,
     random_gauge,
+    wrap_angle,
 )
 from .bundle import (
     HolonomyResult,
@@ -84,7 +85,6 @@ from .phases import (
     detect_cyclic,
     dynamical_phase,
     geometric_phases,
-    wrap_angle,
 )
 from .gates import (
     GateSpec,

@@ -20,10 +20,8 @@ from dataclasses import dataclass
 
 from .errors import NotClosedError, NotUnitaryError
 from .linalg import is_unitary
-from .obspace import OrthDecomposition, fiber_contains, match_columns
+from .obspace import OrthDecomposition, fiber_contains, match_columns, wrap_angle
 from .propagation import Propagator
-
-TWO_PI = 2 * np.pi
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,8 @@ def horizontal_lift(raw: LiftCurve):
     delta = np.angle(overlaps)
     g = np.zeros((len(raw.grid), raw.dim))
     g[1:] = -np.cumsum(delta, axis=0)
-    corrected = (B * np.exp(1j * g)[:, None, :]) @ F.conj().T
+    B *= np.exp(1j * g)[:, None, :]  # in place: one stack fewer at the peak
+    corrected = B @ F.conj().T
     return LiftCurve(grid=raw.grid, unitaries=corrected, reference=raw.reference)
 
 
@@ -122,19 +121,20 @@ def holonomy(hor: LiftCurve, tol=1e-6):
 
     Requires the base curve to close: the holonomy element (relating the
     end of the lift to its start) must match the start frame one-to-one
-    with every alignment at least 1 - tol.
+    with every alignment at least 1 - max(tol, 1e-9). The floor keeps a
+    tighter tol from failing on the rounding of a long lift.
     """
     F = hor.reference.vectors
     psi0 = hor.unitaries[0] @ F
     M = psi0.conj().T @ (hor.unitaries[-1] @ F)
-    perm, amps, ok = match_columns(M, tol)
+    perm, amps, ok = match_columns(M, max(tol, 1e-9))
     if not ok:
         raise NotClosedError(
             "base curve does not close within tolerance: final projectors do "
             f"not match the initial ones one-to-one (worst alignment "
             f"{amps.min():.6f})"
         )
-    betas = np.angle(M[perm, np.arange(hor.dim)]) % TWO_PI
+    betas = wrap_angle(np.angle(M[perm, np.arange(hor.dim)]))
     return HolonomyResult(
         betas=betas,
         permutation=tuple(int(m) for m in perm),

@@ -21,6 +21,7 @@ from .bundle import holonomy, horizontal_lift, lift_from_propagator
 from .errors import (
     CrossCheckError,
     DynamicalResidualError,
+    NotClosedError,
     NotCyclicError,
     ObsphaseError,
     ScenarioError,
@@ -38,8 +39,8 @@ from .gates import (
 )
 from .hamiltonians import make_constant_z, make_quadratic_warp, make_tabulated
 from .linalg import sigma_x, sigma_y, sigma_z
-from .obspace import OrthDecomposition, from_observable, random_gauge
-from .phases import CYCLIC_TOL, circular_distance, detect_cyclic, geometric_phases, wrap_angle
+from .obspace import OrthDecomposition, from_observable, random_gauge, wrap_angle
+from .phases import CYCLIC_TOL, circular_distance, detect_cyclic, geometric_phases
 from .propagation import DEFAULT_STEPS, solve
 
 TWO_PI = 2 * np.pi
@@ -341,10 +342,10 @@ def _tabulated(sc, steps):
     return make_tabulated(times, sc["_samples"]), float(times[-1]), sc["_X0"], steps
 
 
-def _two_loop_gate(report, sc, p, phase_report, X0):
+def _two_loop_gate(report, sc, p, phase_report):
     params = sc["params"]
     phi = cyclic_tilt(params["w0"], params["w1"], params["w"])
-    gate, fit = read_two_loop_gate(p, phase_report, X0, phi)
+    gate, fit = read_two_loop_gate(p, phase_report, phi)
     fitted = u_phi_beta(fit)
     report["gates"]["two-loop"] = _matrix_json(gate)
     report["gates"]["fitted"] = _matrix_json(fitted)
@@ -358,7 +359,7 @@ def _two_loop_gate(report, sc, p, phase_report, X0):
 class _System(NamedTuple):
     """One system: its params, the param that must be nonzero, build(sc,
     steps) -> (schedule, T, X0, steps) or None when nothing evolves,
-    gate(report, sc, p, phase_report, X0) adding the gate read off the
+    gate(report, sc, p, phase_report) adding the gate read off the
     solved propagator, and whether the schedule jumps (so it cannot be
     warped)."""
 
@@ -398,10 +399,9 @@ def _multiset_gap(a, b):
     return best
 
 
-def _holonomy_betas(p, X0, reference=None, start=None):
-    obs = from_observable(X0)
+def _holonomy_betas(p, obs, tol, reference=None, start=None):
     hor = horizontal_lift(lift_from_propagator(p, obs, reference=reference, start=start))
-    return holonomy(hor).betas
+    return holonomy(hor, tol=tol).betas
 
 
 def _haar_frame(rng, d):
@@ -410,21 +410,22 @@ def _haar_frame(rng, d):
     return OrthDecomposition(q * np.exp(-1j * np.angle(np.diag(r))))
 
 
-def _invariance_residuals(sc, p, h, T, X0, steps, report):
-    """Rerun the holonomy route under the enabled deformations and
-    record how far the beta multiset moved."""
+def _invariance_residuals(sc, p, h, T, steps, report, tol):
+    """Rerun the holonomy route under the enabled deformations, at the
+    run's tolerance and from the run's observable frame, and record how
+    far the beta multiset moved."""
     out = {}
-    obs = from_observable(X0)
+    obs = report.lift.reference
     rng = np.random.default_rng(0)
     for check in sc["checks"]:
         if check == "reparameterization":
             p2 = solve(make_quadratic_warp(h, T), T, steps=steps)
-            betas = _holonomy_betas(p2, X0)
+            betas = _holonomy_betas(p2, obs, tol)
         elif check == "gauge-start":
             g = random_gauge(rng, obs.dim)
-            betas = _holonomy_betas(p, X0, start=g.in_frame(obs))
+            betas = _holonomy_betas(p, obs, tol, start=g.in_frame(obs))
         else:  # reference-frame
-            betas = _holonomy_betas(p, X0, reference=_haar_frame(rng, obs.dim))
+            betas = _holonomy_betas(p, obs, tol, reference=_haar_frame(rng, obs.dim))
         out[check.replace("-", "_")] = _round12(
             _multiset_gap(report.holonomy_beta, betas)
         )
@@ -445,19 +446,18 @@ def _base_report(sc):
     }
 
 
-def _curve(p, X0):
-    """Column names and one row per grid point: time, Bloch coordinates
-    of the lowest-level projector (dimension 2 only), and the running
-    holonomy phases, where one that would print as 2pi is 0."""
-    obs = from_observable(X0)
-    hor = horizontal_lift(lift_from_propagator(p, obs))
-    frames = hor.unitaries @ obs.vectors
+def _curve(hor):
+    """Column names and one row per grid point of the horizontal lift
+    hor: time, Bloch coordinates of the lowest-level projector
+    (dimension 2 only), and the running holonomy phases, where one that
+    would print as 2pi is 0."""
+    frames = hor.unitaries @ hor.reference.vectors
     overlaps = np.einsum("in,kin->kn", frames[0].conj(), frames[1:])
-    running = np.vstack([np.zeros(obs.dim), wrap_angle(np.angle(overlaps))])
+    running = np.vstack([np.zeros(hor.dim), wrap_angle(np.angle(overlaps))])
     running[running >= _PRINTS_AS_TWO_PI] = 0.0
     columns = ["t"]
-    parts = [p.grid[:, None]]
-    if obs.dim == 2:
+    parts = [hor.grid[:, None]]
+    if hor.dim == 2:
         # <v|S|v> as (v^dag S) v, in that order: an einsum or a summed
         # product differs from v.conj() @ S @ v in the last bit
         v = frames[:, :, 0]
@@ -466,7 +466,7 @@ def _curve(p, X0):
             ((v.conj()[:, None, :] @ S) @ v[:, :, None])[:, 0].real
             for S in (sigma_x, sigma_y, sigma_z)
         ]
-    columns += [f"beta_running_{n + 1}" for n in range(obs.dim)]
+    columns += [f"beta_running_{n + 1}" for n in range(hor.dim)]
     return columns, np.hstack(parts + [running])
 
 
@@ -494,18 +494,19 @@ def run_scenario(sc, out_dir=".", steps=None, tol=None):
     if system.build is None:
         _fill_cnot(report, sc["params"])
     else:
+        tol = CYCLIC_TOL if tol is None else tol
         h, T, X0, n = _build_problem(sc, steps)
         p = solve(h, T, steps=n)
-        phase_report = geometric_phases(p, h, X0, tol=CYCLIC_TOL if tol is None else tol)
+        phase_report = geometric_phases(p, h, X0, tol=tol)
         _fill_phase_fields(report, phase_report)
         if system.gate:
-            system.gate(report, sc, p, phase_report, X0)
+            system.gate(report, sc, p, phase_report)
         report["residuals"].update(
-            _invariance_residuals(sc, p, h, T, X0, n, phase_report)
+            _invariance_residuals(sc, p, h, T, n, phase_report, tol)
         )
 
     if {"curve_csv", "bloch_csv"} & set(sc["outputs"]):
-        columns, curve = _curve(p, X0)
+        columns, curve = _curve(phase_report.lift)
 
     artifacts = []
     for kind in sc["outputs"]:
@@ -566,6 +567,7 @@ def sweep_scenario(sc, param, values, out_dir=".", steps=None, tol=None):
 
     os.makedirs(out_dir, exist_ok=True)
     dim = sc["_X0"].shape[0] if "_X0" in sc else 2
+    tol = CYCLIC_TOL if tol is None else tol
 
     path = os.path.join(out_dir, f"{sc['name']}-sweep-{param}.csv")
     header = (
@@ -578,12 +580,12 @@ def sweep_scenario(sc, param, values, out_dir=".", steps=None, tol=None):
         for value, params in zip(values, row_params):
             h, T, X0, n = _build_problem(dict(sc, params=params), steps)
             p = solve(h, T, steps=n)
-            cyc = detect_cyclic(p, X0, tol=CYCLIC_TOL if tol is None else tol)
+            cyc = detect_cyclic(p, X0, tol=tol)
             if not cyc.is_cyclic:
                 cells = [_fmt(value)] + ["nan"] * (dim + 1)
                 cells += [_fmt(cyc.residual), "not-cyclic"]
             else:
-                r = geometric_phases(p, h, X0, tol=CYCLIC_TOL if tol is None else tol)
+                r = geometric_phases(p, h, X0, tol=tol)
                 cells = [_fmt(value)]
                 cells += [_fmt(_angle(b)) for b in r.beta]
                 cells += [_fmt(r.cross_residual), _fmt(r.cyclicity_residual), "ok"]
@@ -639,7 +641,7 @@ def main(argv=None):
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (NotCyclicError, CrossCheckError, DynamicalResidualError) as e:
+    except (NotCyclicError, NotClosedError, CrossCheckError, DynamicalResidualError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
     except ObsphaseError as e:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from .errors import DimensionMismatchError, DynamicalResidualError, NotUnitaryError
 from .hamiltonians import make_rotating, make_two_loop
 from .linalg import is_unitary, sigma_x, sigma_z
-from .obspace import from_observable, match_columns
-from .phases import geometric_phases, wrap_angle
+from .obspace import match_columns, wrap_angle
+from .phases import geometric_phases
 from .propagation import solve
 
 TWO_PI = 2 * np.pi
@@ -70,7 +70,7 @@ def cnot_equivalence(U, tol=1e-8):
         raise DimensionMismatchError("cnot_equivalence expects a two-qubit gate")
     if not is_unitary(U, 1e-8):
         raise NotUnitaryError("gate must be unitary")
-    alpha = float(np.angle((U[2, 3] + U[3, 2]) / 2)) % TWO_PI if abs(
+    alpha = float(wrap_angle(np.angle((U[2, 3] + U[3, 2]) / 2))) if abs(
         U[2, 3] + U[3, 2]
     ) > 1e-12 else 0.0
     target = np.exp(1j * alpha) * np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -105,11 +105,12 @@ def rotating_problem(w0, w1, w, steps, two_loop=False):
     return h, T, tilted_observable(cyclic_tilt(w0, w1, w)), int(steps)
 
 
-def read_two_loop_gate(p, report, X0, phi):
+def read_two_loop_gate(p, report, phi):
     """The gate U(2T, 0) of a solved double loop whose phase report must
     show cancelled dynamical phases, and its fitted GateSpec: tilt phi of
-    the observable X0, and beta read from the matched eigen-overlaps of
-    the gate (the same phase reading detect_cyclic uses)."""
+    the observable, and beta read from the gate's matched overlaps in the
+    report's observable frame (the same phase reading detect_cyclic
+    uses)."""
     worst = float(np.max(np.abs(report.gamma)))
     if worst > 1e-6:
         raise DynamicalResidualError(
@@ -117,8 +118,8 @@ def read_two_loop_gate(p, report, X0, phi):
             f"(worst residual {worst:.3e})"
         )
     gate = p.final()
-    obs = from_observable(X0)
-    M = obs.vectors.conj().T @ gate @ obs.vectors
+    F = report.lift.reference.vectors
+    M = F.conj().T @ gate @ F
     perm, _, _ = match_columns(M, tol=1e-6)
     beta = float(wrap_angle(np.angle(M[perm[0], 0])))
     # rounding can leave the phase of an identity gate at -1e-15, which
@@ -139,5 +140,5 @@ def two_loop_protocol(w0, w1, w, steps=4096):
     h, T, X0, steps = rotating_problem(w0, w1, w, steps, two_loop=True)
     p = solve(h, T, steps=steps)
     report = geometric_phases(p, h, X0)
-    gate, spec = read_two_loop_gate(p, report, X0, cyclic_tilt(w0, w1, w))
+    gate, spec = read_two_loop_gate(p, report, cyclic_tilt(w0, w1, w))
     return gate, report, spec

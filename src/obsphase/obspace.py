@@ -53,16 +53,31 @@ class OrthDecomposition:
         return np.outer(v, v.conj())
 
 
+def wrap_angle(x):
+    """Map angles to the principal branch [0, 2pi).
+
+    x % 2pi rounds up to 2pi itself for x in about (-4.4e-16, 0); such
+    an angle is 0.
+    """
+    w = np.asarray(x) % TWO_PI
+    return np.where(w == TWO_PI, 0.0, w)[()]  # [()]: a scalar for a scalar
+
+
 def from_observable(X, gap_tol=1e-9):
     """Eigenframe of a non-degenerate Hermitian observable.
 
     The frame inherits the eigensolver's ordering and phase conventions,
-    so the same observable always yields the same frame.
+    so the same observable always yields the same frame. The spectrum
+    counts as degenerate when an eigen-gap is at most gap_tol * ||X||_2,
+    so c X gives the frame of X for every c > 0, and a zero or identity
+    observable is rejected.
     """
-    dec = hermitian_eig(np.asarray(X, dtype=complex), gap_tol=gap_tol)
-    if dec.degenerate:
+    rel_tol = gap_tol * np.linalg.norm(X, 2)
+    dec = hermitian_eig(X, gap_tol=rel_tol)
+    if dec.min_gap <= rel_tol:
         raise DegenerateSpectrumError(
-            f"observable has eigen-gap {dec.min_gap:.3e} below {gap_tol:g}"
+            f"observable has eigen-gap {dec.min_gap:.3e}, not above "
+            f"{gap_tol:g} times its norm"
         )
     return OrthDecomposition(vectors=dec.vectors)
 
@@ -109,7 +124,7 @@ class GaugeElement:
         if len(self.phases) != len(self.perm):
             raise ValueError("need one phase per level")
         object.__setattr__(
-            self, "phases", tuple(float(p) % TWO_PI for p in self.phases)
+            self, "phases", tuple(wrap_angle(np.array(self.phases, float)).tolist())
         )
 
     @property
@@ -158,7 +173,7 @@ def gauge_from_unitary(U, tol=1e-8):
             f"matrix is not within {tol:g} of a permutation-phase unitary "
             f"(worst alignment {amps.min():.3e})"
         )
-    phases = tuple(float(np.angle(U[perm[n], n])) % TWO_PI for n in range(len(perm)))
+    phases = tuple(np.angle(U[perm, np.arange(len(perm))]).tolist())
     return GaugeElement(perm=tuple(int(p) for p in perm), phases=phases)
 
 

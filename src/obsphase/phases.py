@@ -16,10 +16,10 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .bundle import holonomy, horizontal_lift, lift_from_propagator
+from .bundle import LiftCurve, holonomy, horizontal_lift, lift_from_propagator
 from .errors import CrossCheckError, NotCyclicError
 from .hamiltonians import HamiltonianSchedule
-from .obspace import from_observable, match_columns
+from .obspace import from_observable, match_columns, wrap_angle
 from .propagation import Propagator
 
 TWO_PI = 2 * np.pi
@@ -28,14 +28,9 @@ CYCLIC_TOL = 1e-6
 CROSS_TOL = 1e-5
 
 
-def wrap_angle(x):
-    """Map angles to the principal branch [0, 2pi)."""
-    return np.asarray(x) % TWO_PI
-
-
 def circular_distance(a, b):
     """Distance on the circle, elementwise, in [0, pi]."""
-    d = np.abs(np.asarray(a) - np.asarray(b)) % TWO_PI
+    d = wrap_angle(np.abs(np.asarray(a) - np.asarray(b)))
     return np.minimum(d, TWO_PI - d)
 
 
@@ -73,17 +68,21 @@ def detect_cyclic(p: Propagator, X0, tol=CYCLIC_TOL):
 def dynamical_phase(h: HamiltonianSchedule, psi, T, steps):
     """Simpson quadrature of t -> <psi| h(t) |psi> over [0, T].
 
-    psi is held fixed (the initial eigenvector). The quadrature is
-    applied piecewise between the schedule's jump points so that no
+    psi is a ket, or a frame with the kets as columns (as in
+    OrthDecomposition.vectors), held fixed (the initial eigenvectors);
+    a ket gives a float, a frame one integral per column. The quadrature
+    is applied piecewise between the schedule's jump points so that no
     panel straddles a discontinuity; each piece is sampled in one
-    schedule evaluation and weighted (1, 4, 2, ..., 2, 4, 1) * dt / 3.
+    schedule evaluation for all kets and weighted
+    (1, 4, 2, ..., 2, 4, 1) * dt / 3.
     """
     if steps % 2 != 0:
         raise ValueError("steps must be even for composite Simpson")
     psi = np.asarray(psi, dtype=complex)
+    kets = psi.reshape(len(psi), -1).T
     cuts = [b for b in h.breakpoints if 0.0 < b < T]
     edges = [0.0] + cuts + [T]
-    total = 0.0
+    totals = np.zeros(len(kets))
     for a, b in zip(edges[:-1], edges[1:]):
         n = max(2, 2 * round(steps * (b - a) / (2 * T)))
         t = np.linspace(a, b, n + 1)
@@ -94,11 +93,13 @@ def dynamical_phase(h: HamiltonianSchedule, psi, T, steps):
             where[0] = a + 1e-9 * (b - a)
         if b in cuts:
             where[-1] = b - 1e-9 * (b - a)
-        y = np.einsum("i,kij,j->k", psi.conj(), h.eval(where), psi).real
+        Hs = h.eval(where)
         weights = np.ones(n + 1)
         weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
-        total += (b - a) / n / 3 * (weights @ y)
-    return float(total)
+        for k, ket in enumerate(kets):
+            y = np.einsum("i,kij,j->k", ket.conj(), Hs, ket).real
+            totals[k] += (b - a) / n / 3 * (weights @ y)
+    return totals if psi.ndim == 2 else float(totals[0])
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,8 @@ class PhaseReport:
 
     theta, beta and holonomy_beta live in [0, 2pi); gamma and beta_raw
     (= theta - gamma before reduction) are unreduced reals. beta equals
-    beta_raw mod 2pi by construction.
+    beta_raw mod 2pi by construction. lift is the horizontal lift that
+    holonomy_beta was read from; its reference is the eigenframe of X0.
     """
 
     theta: np.ndarray
@@ -118,6 +120,7 @@ class PhaseReport:
     cyclicity_residual: float
     cross_residual: float
     closure_permutation: tuple
+    lift: LiftCurve
 
     @property
     def dim(self):
@@ -142,15 +145,12 @@ def geometric_phases(
             f"residual {cyc.residual:.3e}, permutation {cyc.permutation}"
         )
     obs = from_observable(X0)
-    T = p.duration
-    steps = p.steps + (p.steps % 2)
-    gamma = np.array(
-        [dynamical_phase(h, obs.vectors[:, n], T, steps) for n in range(obs.dim)]
-    )
+    gamma = dynamical_phase(h, obs.vectors, p.duration, p.steps + (p.steps % 2))
     beta_raw = cyc.thetas - gamma
     beta = wrap_angle(beta_raw)
 
-    hol = holonomy(horizontal_lift(lift_from_propagator(p, obs)), tol=max(tol, 1e-9))
+    lift = horizontal_lift(lift_from_propagator(p, obs))
+    hol = holonomy(lift, tol=tol)
     gaps = circular_distance(beta, hol.betas)
     cross = float(np.max(gaps))
     if cross > cross_tol:
@@ -172,4 +172,5 @@ def geometric_phases(
         cyclicity_residual=cyc.residual,
         cross_residual=cross,
         closure_permutation=hol.permutation,
+        lift=lift,
     )

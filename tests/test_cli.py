@@ -467,6 +467,33 @@ def test_two_loop_run_solves_once_and_passes_tol(tmp_path, monkeypatch):
     assert tols == [1e-4]
 
 
+def test_invariance_checks_read_the_holonomy_at_the_run_tolerance(tmp_path):
+    # a period a little long: cyclicity 3.5e-6 and alignment 0.999996, so
+    # only a tolerance looser than the default lets the run through, and
+    # the gauge-start check must use it too
+    raw = scenario(
+        params={"mu_B": 1.0, "phi": 1.0, "T": 6.2895, "steps": 4096},
+        checks=["gauge-start"],
+    )
+    path = write_scenario(tmp_path, raw)
+    assert main(["run", path, "--out", str(tmp_path), "--tol", "1e-3"]) == 0
+    r = read_report(tmp_path, "t")
+    assert r["residuals"]["cyclicity"] > 1e-6
+    assert r["residuals"]["gauge_start"] < 1e-12
+
+
+def test_a_lift_that_does_not_close_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    import obsphase.cli as cli
+    from obsphase.errors import NotClosedError
+
+    def not_closed(*args, **kwargs):
+        raise NotClosedError("base curve does not close within tolerance")
+
+    monkeypatch.setattr(cli, "run_scenario", not_closed)
+    assert main(["run", write_scenario(tmp_path, scenario()), "--out", str(tmp_path)]) == 3
+    assert "NotClosedError" in capsys.readouterr().err
+
+
 DEMO_SCENARIOS = sorted(
     (Path(__file__).resolve().parents[1] / "demos" / "scenarios").glob("*.json")
 )
@@ -625,8 +652,8 @@ def test_a_run_lifts_the_curve_once_for_both_csv_files(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "horizontal_lift", counted(module.horizontal_lift))
     sc = validate_scenario(scenario(outputs=["report", "curve_csv", "bloch_csv"]))
     run_scenario(sc, out_dir=str(tmp_path))
-    # one for the holonomy cross-check, one for both CSV files
-    assert len(calls) == 2
+    # the holonomy cross-check's lift also feeds both CSV files
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("path", DEMO_SCENARIOS, ids=lambda p: p.stem)

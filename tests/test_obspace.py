@@ -112,6 +112,14 @@ def test_from_observable():
         from_observable(np.eye(2))
 
 
+def test_from_observable_gap_is_relative_to_the_norm():
+    for c in (1e-10, 1e-8, 1e8):
+        assert np.array_equal(from_observable(c * sigma_z).vectors, from_observable(sigma_z).vectors)
+    for X in (np.zeros((2, 2)), np.eye(2), 1e-10 * np.eye(3)):
+        with pytest.raises(DegenerateSpectrumError):
+            from_observable(X)
+
+
 def test_decomposition_equality_ignores_order_and_phase():
     rng = np.random.default_rng(21)
     O = haar_frame(rng)

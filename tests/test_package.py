@@ -36,3 +36,16 @@ def test_demo_script_runs(path):
     proc = run_python(str(path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # the tracer replaces obsphase names by attribute (cli.horizontal_lift,
+    # phases.dynamical_phase, ...): one that a change removes breaks every
+    # traced benchmark run
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "benchmark")])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

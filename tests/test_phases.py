@@ -1,13 +1,22 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import obsphase.obspace as obspace
+import obsphase.phases as phases
 
 from obsphase.errors import (
     CrossCheckError,
     DegenerateSpectrumError,
     NotCyclicError,
 )
+from obsphase.gates import rotating_problem
 from obsphase.hamiltonians import (
+    HamiltonianSchedule,
     make_constant_z,
     make_rotating,
     make_tabulated,
@@ -15,6 +24,7 @@ from obsphase.hamiltonians import (
     make_zero,
 )
 from obsphase.linalg import normalize, sigma_x, sigma_z
+from obsphase.obspace import from_observable
 from obsphase.phases import (
     circular_distance,
     detect_cyclic,
@@ -65,6 +75,15 @@ def test_wrap_and_distance():
     assert abs(wrap_angle(-0.1) - (TWO_PI - 0.1)) < 1e-15
     assert abs(circular_distance(0.05, TWO_PI - 0.05) - 0.1) < 1e-15
     assert np.allclose(circular_distance([0.0, np.pi], [0.0, np.pi]), 0.0)
+
+
+def test_wrap_angle_never_returns_two_pi():
+    # x % 2pi rounds up to 2pi itself for x in about (-4.4e-16, 0)
+    for x in (-1e-16, -4e-16, -5e-324, -0.0):
+        assert wrap_angle(x) == 0.0
+    wrapped = wrap_angle([-1e-16, -0.1, TWO_PI])
+    assert wrapped.tolist() == [0.0, TWO_PI - 0.1, 0.0]
+    assert wrap_angle is obspace.wrap_angle
 
 
 def test_detect_cyclic_constant_field():
@@ -292,3 +311,79 @@ def test_dynamical_phase_matches_per_point_simpson():
                 got = dynamical_phase(h, psi, duration, steps)
                 want = per_point_dynamical_phase(h, psi, duration, steps)
                 assert abs(got - want) <= 1e-12
+
+
+def test_dynamical_phase_of_a_frame_samples_each_piece_once(monkeypatch):
+    # a frame gives each column's integral bit for bit, with one schedule
+    # evaluation per smooth piece for all levels
+    w0, w1, w = 1.0, 3.0, 2.0
+    T = TWO_PI / w
+    h = make_two_loop(make_rotating(w0, w1, w), T)
+    F = from_observable(rotating_observable(w0, w1, w)[0]).vectors
+    per_ket = [dynamical_phase(h, F[:, n], 1.5 * T, 256) for n in range(2)]
+    calls = []
+    original = HamiltonianSchedule.eval
+
+    def counted(self, t):
+        calls.append(1)
+        return original(self, t)
+
+    monkeypatch.setattr(HamiltonianSchedule, "eval", counted)
+    got = dynamical_phase(h, F, 1.5 * T, 256)
+    assert got.tolist() == per_ket
+    assert len(calls) == 2  # the jump at T splits [0, 1.5 T] in two
+
+
+def test_geometric_phases_integrates_all_levels_in_one_call(monkeypatch):
+    calls = []
+    original = phases.dynamical_phase
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(phases, "dynamical_phase", counted)
+    h = make_constant_z(1.0)
+    rep = geometric_phases(solve(h, TWO_PI, steps=1024), h, constant_observable(np.pi / 3))
+    assert len(calls) == 1
+    assert rep.lift.steps == 1024
+
+
+@functools.lru_cache(maxsize=None)
+def _rotating_run():
+    h, T, X0, steps = rotating_problem(1.0, 3.0, 2.0, 2048)
+    p = solve(h, T, steps=steps)
+    return p, h, X0, geometric_phases(p, h, X0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(exponent=st.floats(-12.0, 12.0))
+def test_scaled_observable_gives_the_same_frame_and_phases(exponent):
+    # the eigen-gap test is relative to ||X||_2, so c X0 is as good an
+    # observable as X0 for every c > 0
+    p, h, X0, want = _rotating_run()
+    c = 10.0**exponent
+    F = from_observable(c * X0).vectors
+    assert np.max(np.abs(F - from_observable(X0).vectors)) <= 1e-14
+    got = geometric_phases(p, h, c * X0)
+    assert np.max(circular_distance(got.beta, want.beta)) <= 1e-12
+    assert np.max(circular_distance(got.holonomy_beta, want.holonomy_beta)) <= 1e-12
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    w0=st.floats(0.1, 2.0),
+    w1=st.floats(-2.0, 2.0),
+    w=st.floats(0.5, 3.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_qubit_betas_pair_to_zero_on_both_routes(w0, w1, w, sign):
+    # a traceless H keeps U(T) in SU(2), so theta_1 + theta_2 = 0, and
+    # gamma_1 + gamma_2 integrates tr H = 0: beta_1 + beta_2 = 0 mod 2pi
+    # on the phase-difference route and, independently, on the holonomy
+    # route. The routes differ from each other by O(dt^2) at 512 steps,
+    # so their cross-check is loose here.
+    h, T, X0, steps = rotating_problem(w0, w1, sign * w, 512)
+    rep = geometric_phases(solve(h, T, steps=steps), h, X0, cross_tol=np.pi)
+    assert circular_distance(rep.beta.sum(), 0.0) <= 1e-11
+    assert circular_distance(rep.holonomy_beta.sum(), 0.0) <= 1e-11
