@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import obsphase.obspace as obspace
 import obsphase.phases as phases
-
 from obsphase.errors import (
     CrossCheckError,
     DegenerateSpectrumError,
