@@ -54,7 +54,7 @@ def connection_eval(P, Q, O0: OrthDecomposition):
     Vertical arguments Q = P D (D frame-diagonal) reproduce D.
     """
     P = np.asarray(P, dtype=complex)
-    if not is_unitary(P, 1e-8):
+    if not is_unitary(P):
         raise NotUnitaryError("connection base point must be unitary")
     F = O0.vectors
     c = np.einsum("in,ij,jn->n", F.conj(), P.conj().T @ np.asarray(Q, complex), F)
@@ -78,7 +78,7 @@ def lift_from_propagator(
         W = obs.vectors @ reference.vectors.conj().T
     else:
         W = np.asarray(start, dtype=complex)
-        if not fiber_contains(W, obs, reference, tol=1e-8):
+        if not fiber_contains(W, obs, reference):
             raise ValueError("start must lie in the fiber over the initial frame")
     adj = np.conj(np.swapaxes(p.unitaries, 1, 2))
     return LiftCurve(grid=p.grid, unitaries=adj @ W, reference=reference)

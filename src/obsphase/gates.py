@@ -17,11 +17,9 @@ from dataclasses import dataclass
 from .errors import DimensionMismatchError, DynamicalResidualError, NotUnitaryError
 from .hamiltonians import make_rotating, make_two_loop
 from .linalg import is_unitary, sigma_x, sigma_z
-from .obspace import match_columns, wrap_angle
+from .obspace import TWO_PI, match_columns, wrap_angle
 from .phases import geometric_phases
 from .propagation import solve
-
-TWO_PI = 2 * np.pi
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,7 @@ def cnot_equivalence(U, tol=1e-8):
     U = np.asarray(U, dtype=complex)
     if U.shape != (4, 4):
         raise DimensionMismatchError("cnot_equivalence expects a two-qubit gate")
-    if not is_unitary(U, 1e-8):
+    if not is_unitary(U):
         raise NotUnitaryError("gate must be unitary")
     alpha = float(wrap_angle(np.angle((U[2, 3] + U[3, 2]) / 2))) if abs(
         U[2, 3] + U[3, 2]

@@ -21,7 +21,7 @@ from .errors import (
     ZeroFieldError,
     ZeroFrequencyError,
 )
-from .linalg import is_hermitian, sigma_x, sigma_y, sigma_z
+from .linalg import HERMITICITY_TOL, is_hermitian, sigma_x, sigma_y, sigma_z
 
 UNBOUNDED = (-np.inf, np.inf)
 
@@ -180,11 +180,12 @@ def make_block_two_qubit(h0, h1):
     )
 
 
-def make_tabulated(times, samples, tol=1e-12):
+def make_tabulated(times, samples):
     """Entrywise linear interpolation of Hermitian samples.
 
-    times must be strictly increasing; each sample is checked Hermitian
-    (linear interpolation then stays Hermitian for every t).
+    times must be strictly increasing; each sample must pass
+    is_hermitian (linear interpolation then stays Hermitian for every t),
+    or NotHermitianError names the first that fails.
     """
     times = np.asarray(times, dtype=float)
     samples = np.asarray(samples, dtype=complex)
@@ -196,9 +197,11 @@ def make_tabulated(times, samples, tol=1e-12):
         raise DimensionMismatchError(
             f"samples shape {samples.shape} does not match {len(times)} times"
         )
-    for k, H in enumerate(samples):
-        if not is_hermitian(H, tol):
-            raise NotHermitianError(f"sample {k} is not Hermitian within {tol:g}")
+    bad = np.flatnonzero(~is_hermitian(samples))
+    if bad.size:
+        raise NotHermitianError(
+            f"sample {bad[0]} is not Hermitian within {HERMITICITY_TOL:g} of its norm"
+        )
 
     def fn(t):
         k = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)

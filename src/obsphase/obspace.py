@@ -19,7 +19,7 @@ from .errors import (
     NotGaugeError,
     NotUnitaryError,
 )
-from .linalg import hermitian_eig, is_unitary, sigma_x, sigma_y, sigma_z
+from .linalg import GAP_TOL, hermitian_eig, is_unitary, sigma_x, sigma_y, sigma_z
 
 TWO_PI = 2 * np.pi
 
@@ -37,16 +37,13 @@ class OrthDecomposition:
         V = np.asarray(self.vectors, dtype=complex)
         if V.ndim != 2 or V.shape[0] != V.shape[1]:
             raise DimensionMismatchError(f"frame must be square, got {V.shape}")
-        if np.linalg.norm(V.conj().T @ V - np.eye(V.shape[0])) > 1e-10:
+        if not is_unitary(V, 1e-10):
             raise ValueError("frame is not orthonormal within 1e-10")
         object.__setattr__(self, "vectors", V)
 
     @property
     def dim(self):
         return self.vectors.shape[0]
-
-    def ket(self, n):
-        return self.vectors[:, n]
 
     def projector(self, n):
         v = self.vectors[:, n]
@@ -63,21 +60,21 @@ def wrap_angle(x):
     return np.where(w == TWO_PI, 0.0, w)[()]  # [()]: a scalar for a scalar
 
 
-def from_observable(X, gap_tol=1e-9):
+def from_observable(X):
     """Eigenframe of a non-degenerate Hermitian observable.
 
     The frame inherits the eigensolver's ordering and phase conventions,
-    so the same observable always yields the same frame. The spectrum
-    counts as degenerate when an eigen-gap is at most gap_tol * ||X||_2,
-    so c X gives the frame of X for every c > 0, and a zero or identity
-    observable is rejected.
+    so the same observable always yields the same frame. X must pass
+    is_hermitian, and an eigen-gap at most GAP_TOL * ||X||_2 is
+    degenerate: c X gives the frame of X for every c > 0, and a zero or
+    identity observable is rejected.
     """
-    rel_tol = gap_tol * np.linalg.norm(X, 2)
+    rel_tol = GAP_TOL * np.linalg.norm(X, 2)
     dec = hermitian_eig(X, gap_tol=rel_tol)
     if dec.min_gap <= rel_tol:
         raise DegenerateSpectrumError(
             f"observable has eigen-gap {dec.min_gap:.3e}, not above "
-            f"{gap_tol:g} times its norm"
+            f"{GAP_TOL:g} times its norm"
         )
     return OrthDecomposition(vectors=dec.vectors)
 
@@ -165,7 +162,7 @@ class GaugeElement:
 def gauge_from_unitary(U, tol=1e-8):
     """Recognize a gauge unitary (permutation times phases) or raise NotGauge."""
     U = np.asarray(U, dtype=complex)
-    if not is_unitary(U, 1e-8):
+    if not is_unitary(U):
         raise NotUnitaryError("gauge candidates must be unitary")
     perm, amps, ok = match_columns(U, tol)
     if not ok:
@@ -190,7 +187,7 @@ def fiber_contains(U, O: OrthDecomposition, O0: OrthDecomposition, tol=1e-8):
     of O: this is membership in the fiber over O with reference O0.
     """
     U = np.asarray(U, dtype=complex)
-    if not is_unitary(U, 1e-8):
+    if not is_unitary(U):
         raise NotUnitaryError("fiber candidates must be unitary")
     M = O.vectors.conj().T @ U @ O0.vectors
     _, _, ok = match_columns(M, tol)

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from .bundle import LiftCurve, holonomy, horizontal_lift, lift_from_propagator
 from .errors import CrossCheckError, NotCyclicError
 from .hamiltonians import HamiltonianSchedule
-from .obspace import from_observable, match_columns, wrap_angle
+from .obspace import TWO_PI, OrthDecomposition, from_observable, match_columns, wrap_angle
 from .propagation import Propagator
-
-TWO_PI = 2 * np.pi
 
 CYCLIC_TOL = 1e-6
 CROSS_TOL = 1e-5
@@ -40,6 +38,7 @@ class CyclicityCheck:
     thetas: np.ndarray
     permutation: tuple
     residual: float
+    frame: OrthDecomposition  # the eigenframe of X0 the thetas were read in
 
 
 def detect_cyclic(p: Propagator, X0, tol=CYCLIC_TOL):
@@ -62,6 +61,7 @@ def detect_cyclic(p: Propagator, X0, tol=CYCLIC_TOL):
         thetas=thetas,
         permutation=tuple(int(m) for m in perm),
         residual=float(np.max(1.0 - amps)),
+        frame=obs,
     )
 
 
@@ -137,14 +137,13 @@ def geometric_phases(
     the observable does not return, and CrossCheck when the two routes
     to beta disagree beyond cross_tol.
     """
-    X0 = np.asarray(X0, dtype=complex)
     cyc = detect_cyclic(p, X0, tol)
     if not cyc.is_cyclic:
         raise NotCyclicError(
             f"observable does not return at T={p.duration:g}: "
             f"residual {cyc.residual:.3e}, permutation {cyc.permutation}"
         )
-    obs = from_observable(X0)
+    obs = cyc.frame
     gamma = dynamical_phase(h, obs.vectors, p.duration, p.steps + (p.steps % 2))
     beta_raw = cyc.thetas - gamma
     beta = wrap_angle(beta_raw)

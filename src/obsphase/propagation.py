@@ -159,7 +159,7 @@ def heisenberg_evolve(p: Propagator, X0, k):
         raise DimensionMismatchError(
             f"observable shape {X0.shape} does not match dim {p.dim}"
         )
-    if not is_hermitian(X0, 1e-10):
+    if not is_hermitian(X0):
         raise NotHermitianError("initial observable must be Hermitian")
     U = p.unitaries[k]
     return U.conj().T @ X0 @ U

@@ -678,3 +678,34 @@ def test_cross_check_failure_names_the_step_count_that_passes(tmp_path, capsys):
     assert "max gap 1.241e-05 > 1e-05 at 1024 steps" in err
     assert "predicts that 2048 steps pass" in err
     assert main(["run", path, "--out", str(tmp_path), "--steps", "2048"]) == 0
+
+
+# ------------------------------------------------ one Hermiticity rule
+
+
+@pytest.mark.parametrize("eps", [1e-13, 5e-11, 1e-8])
+def test_a_tabulated_sample_validation_accepts_also_runs(eps, tmp_path, capsys):
+    # validation and make_tabulated used to test Hermiticity at 1e-10 and
+    # 1e-12: a 7.1e-11 asymmetry validated, then exited 2 with no pointer
+    raw = json.loads((DEMO_SCENARIOS[0].parent / "tabulated-triangle.json").read_text())
+    raw["schedule"]["matrices"][0][0][1][1] += eps
+    code = main(["run", write_scenario(tmp_path, raw), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 0 or (code == 2 and err.startswith("error: /schedule/matrices/0:")), err
+
+
+@pytest.mark.parametrize("k", [-12, -6, 6, 12])
+def test_a_scaled_observable_validates(k):
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    raw = _tabulated_d3(1024)
+    raw["observable"] = _pairs(10.0**k * Q @ np.diag([-1.0, 0.2, 1.0]) @ Q.conj().T)
+    validate_scenario(raw)
+
+
+def test_a_non_hermitian_observable_is_pointed_at():
+    raw = _tabulated_d3(1024)
+    raw["observable"][0][1][1] += 1e-6
+    with pytest.raises(ScenarioError, match="not Hermitian") as err:
+        validate_scenario(raw)
+    assert err.value.pointer == "/observable"

@@ -153,3 +153,28 @@ def test_expm_skew_many_rejects_nan_generators():
     Hs = np.stack([sigma_x, np.full((2, 2), np.nan)]).astype(complex)
     with pytest.raises(NotHermitianError):
         expm_skew_many(Hs, 0.5)
+
+
+def test_hermiticity_is_one_relative_test_on_a_matrix_or_a_stack():
+    rng = np.random.default_rng(11)
+    H = random_hermitian(rng, 3)
+    skew = np.zeros((3, 3), dtype=complex)
+    skew[0, 1] = 1e-9 * np.linalg.norm(H)
+    for c in (1e-200, 1e-12, 1.0, 1e12, 1e200):
+        assert is_hermitian(c * H) is True
+        assert is_hermitian(c * (H + skew)) is False
+    stack = np.stack([H, H + skew, np.full((3, 3), np.nan), np.zeros((3, 3))])
+    assert is_hermitian(stack).tolist() == [True, False, False, True]
+    # a caller may still ask for a tighter test
+    assert not is_hermitian(H + 1e-2 * skew, tol=1e-12)
+
+
+def test_checks_name_the_shared_tolerance_and_refuse_nan():
+    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for check in (hermitian_eig, lambda H: expm_skew(H, 1.0), lambda H: expm_skew_many([H], 1.0)):
+        with pytest.raises(NotHermitianError, match="within 1e-10 of its norm"):
+            check(bad)
+    assert not is_unitary(np.full((2, 2), np.nan))
+    # the unitarity default is the 1e-8 every caller in the package uses
+    assert is_unitary(expm_skew(sigma_x, 0.3) * (1 + 1e-9))
+    assert not is_unitary(expm_skew(sigma_x, 0.3) * (1 + 1e-7))

@@ -120,6 +120,21 @@ def test_from_observable_gap_is_relative_to_the_norm():
             from_observable(X)
 
 
+def scaled_observable_fixture():
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    return Q @ np.diag([-1.0, 0.2, 1.0]) @ Q.conj().T
+
+
+@pytest.mark.parametrize("k", [-12, -6, 6, 12])
+def test_from_observable_hermiticity_is_relative_to_the_norm(k):
+    # X's rounding asymmetry is 9.3e-17 at scale 1; an absolute 1e-10
+    # test rejected 1e12 X
+    X = scaled_observable_fixture()
+    F = from_observable(10.0**k * X).vectors
+    assert np.max(np.abs(F - from_observable(X).vectors)) <= 1e-14
+
+
 def test_decomposition_equality_ignores_order_and_phase():
     rng = np.random.default_rng(21)
     O = haar_frame(rng)

@@ -348,6 +348,23 @@ def test_geometric_phases_integrates_all_levels_in_one_call(monkeypatch):
     assert rep.lift.steps == 1024
 
 
+def test_geometric_phases_builds_the_eigenframe_once(monkeypatch):
+    calls = []
+    original = phases.from_observable
+
+    def counted(X):
+        calls.append(1)
+        return original(X)
+
+    monkeypatch.setattr(phases, "from_observable", counted)
+    h = make_constant_z(1.0)
+    X0 = constant_observable(np.pi / 3)
+    rep = geometric_phases(solve(h, TWO_PI, steps=1024), h, X0)
+    assert len(calls) == 1
+    # detect_cyclic's frame is the one the lift and gamma were read in
+    assert np.array_equal(rep.lift.reference.vectors, original(X0).vectors)
+
+
 @functools.lru_cache(maxsize=None)
 def _rotating_run():
     h, T, X0, steps = rotating_problem(1.0, 3.0, 2.0, 2048)
