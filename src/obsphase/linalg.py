@@ -25,18 +25,30 @@ _AMP_EPS = 1e-12
 
 
 def is_hermitian(H, tol=HERMITICITY_TOL):
-    """True iff ||H - H^dagger||_F <= tol * ||H||_F: the package's one
-    Hermiticity test. c H passes iff H does (c > 0), a NaN fails, and a
-    stack over the last two axes gives one bool per matrix."""
+    """True iff max|H - H^dagger| <= tol * max|H| over the entries: the
+    package's one Hermiticity test. c H passes iff H does (c > 0), a NaN
+    fails, and a stack over the last two axes gives one bool per matrix."""
     H = np.asarray(H, dtype=complex)
-    # the test is homogeneous: dividing by the largest entry keeps both
-    # norms from overflowing above 1e154 or underflowing below 1e-154
-    top = np.abs(H).max(axis=(-2, -1), keepdims=True)
-    top[(top == 0) | ~np.isfinite(top)] = 1.0  # zero, NaN and inf stay as they are
-    H = H / top
-    dev = np.linalg.norm(H - np.swapaxes(H, -1, -2).conj(), axis=(-2, -1))
-    ok = dev <= tol * np.linalg.norm(H, axis=(-2, -1))
+    ok = _asymmetry(H) <= tol * np.abs(H).max(axis=(-2, -1))
     return bool(ok) if ok.ndim == 0 else ok
+
+
+def _asymmetry(H):
+    return np.abs(H - np.swapaxes(H, -1, -2).conj()).max(axis=(-2, -1))
+
+
+def require_hermitian(H, what):
+    """Raise NotHermitianError naming the first matrix of H (what, or
+    "what k" in a stack) that fails is_hermitian, and its deviation."""
+    H = np.asarray(H, dtype=complex)
+    bad = np.flatnonzero(np.logical_not(is_hermitian(H)))
+    if bad.size:
+        M = H.reshape(-1, *H.shape[-2:])[bad[0]]
+        name = f"{what} {bad[0]}" if H.ndim > 2 else what
+        raise NotHermitianError(
+            f"{name} is not Hermitian within {HERMITICITY_TOL:g} of its largest entry "
+            f"(deviation {_asymmetry(M) / np.abs(M).max():.3g})"
+        )
 
 
 def is_unitary(U, tol=1e-8):
@@ -101,8 +113,7 @@ def hermitian_eig(H, gap_tol=GAP_TOL):
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    if not is_hermitian(H):
-        raise NotHermitianError(f"matrix is not Hermitian within {HERMITICITY_TOL:g} of its norm")
+    require_hermitian(H, "matrix")
     values, vectors = np.linalg.eigh(H)
     vectors = np.column_stack([fix_phase(vectors[:, n]) for n in range(len(values))])
 
@@ -136,8 +147,7 @@ def expm_skew(H, s):
     pass is_hermitian (NotHermitianError otherwise).
     """
     H = np.asarray(H, dtype=complex)
-    if not is_hermitian(H):
-        raise NotHermitianError(f"generator not Hermitian within {HERMITICITY_TOL:g} of its norm")
+    require_hermitian(H, "generator")
     w, V = np.linalg.eigh(H)
     return (V * np.exp(-1j * s * w)) @ V.conj().T
 
@@ -145,8 +155,7 @@ def expm_skew(H, s):
 def expm_skew_many(Hs, s):
     """exp(-i s H_k), batched, for a stack that passes is_hermitian."""
     Hs = np.asarray(Hs, dtype=complex)
-    if not np.all(is_hermitian(Hs)):
-        raise NotHermitianError(f"generator not Hermitian within {HERMITICITY_TOL:g} of its norm")
+    require_hermitian(Hs, "generator")
     w, V = np.linalg.eigh(Hs)
     phase = np.exp(-1j * s * w)
     return np.einsum("kij,kj,klj->kil", V, phase, V.conj())

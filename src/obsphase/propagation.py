@@ -27,9 +27,9 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .errors import DimensionMismatchError, NotHermitianError, ScheduleDomainError
+from .errors import DimensionMismatchError, ScheduleDomainError
 from .hamiltonians import HamiltonianSchedule
-from .linalg import expm_skew, expm_skew_many, is_hermitian, sigma_x, sigma_z
+from .linalg import expm_skew, expm_skew_many, require_hermitian, sigma_x, sigma_z
 
 DEFAULT_STEPS = 4096
 
@@ -159,7 +159,6 @@ def heisenberg_evolve(p: Propagator, X0, k):
         raise DimensionMismatchError(
             f"observable shape {X0.shape} does not match dim {p.dim}"
         )
-    if not is_hermitian(X0):
-        raise NotHermitianError("initial observable must be Hermitian")
+    require_hermitian(X0, "initial observable")
     U = p.unitaries[k]
     return U.conj().T @ X0 @ U

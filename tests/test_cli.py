@@ -683,15 +683,37 @@ def test_cross_check_failure_names_the_step_count_that_passes(tmp_path, capsys):
 # ------------------------------------------------ one Hermiticity rule
 
 
-@pytest.mark.parametrize("eps", [1e-13, 5e-11, 1e-8])
-def test_a_tabulated_sample_validation_accepts_also_runs(eps, tmp_path, capsys):
-    # validation and make_tabulated used to test Hermiticity at 1e-10 and
-    # 1e-12: a 7.1e-11 asymmetry validated, then exited 2 with no pointer
-    raw = json.loads((DEMO_SCENARIOS[0].parent / "tabulated-triangle.json").read_text())
-    raw["schedule"]["matrices"][0][0][1][1] += eps
-    code = main(["run", write_scenario(tmp_path, raw), "--out", str(tmp_path)])
+def _triangle():
+    return json.loads((DEMO_SCENARIOS[0].parent / "tabulated-triangle.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "sample, eps, code",
+    [(1, 1e-13, 0), (1, 5e-11, 0), (1, 1e-8, 2), (0, 1e-13, 2), (0, 5e-11, 2), (0, 1e-8, 2)],
+)
+def test_a_tabulated_sample_validation_accepts_also_runs(sample, eps, code, tmp_path, capsys):
+    # validation and make_tabulated used to test Hermiticity at an absolute
+    # 1e-10 and 1e-12: a 7.1e-11 asymmetry validated, then exited 2 with no
+    # pointer. Sample 1 is -sigma_z, whose largest entry is 1; sample 0 is
+    # the zero matrix, so any asymmetry is all of it
+    raw = _triangle()
+    raw["schedule"]["matrices"][sample][0][1][1] += eps
+    assert main(["run", write_scenario(tmp_path, raw), "--out", str(tmp_path)]) == code
     err = capsys.readouterr().err
-    assert code == 0 or (code == 2 and err.startswith("error: /schedule/matrices/0:")), err
+    assert code == 0 or err.startswith(f"error: /schedule/matrices/{sample}:"), err
+
+
+def test_a_tabulated_zero_crossing_stays_hermitian(tmp_path, capsys):
+    # samples sigma_z + E, -sigma_z + E, sigma_z + E with E at 0.9 of the
+    # tolerance: each passes, but a blend near s = 1/2 is about E alone,
+    # so the interpolation must not carry the samples' asymmetry along
+    raw = _triangle()
+    E = np.zeros((2, 2), dtype=complex)
+    E[0, 1] = 0.9e-10j
+    raw["schedule"]["matrices"] = [_pairs(np.diag([c, -c]) + E) for c in (1.0, -1.0, 1.0)]
+    assert main(["run", write_scenario(tmp_path, raw), "--out", str(tmp_path)]) == 0, (
+        capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize("k", [-12, -6, 6, 12])

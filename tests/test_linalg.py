@@ -172,8 +172,11 @@ def test_hermiticity_is_one_relative_test_on_a_matrix_or_a_stack():
 def test_checks_name_the_shared_tolerance_and_refuse_nan():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     for check in (hermitian_eig, lambda H: expm_skew(H, 1.0), lambda H: expm_skew_many([H], 1.0)):
-        with pytest.raises(NotHermitianError, match="within 1e-10 of its norm"):
+        with pytest.raises(NotHermitianError, match=r"within 1e-10 of its largest entry \(deviation 1\)"):
             check(bad)
+    # the message gives the deviation relative to the largest entry
+    with pytest.raises(NotHermitianError, match=r"generator 1 .* \(deviation 1e-08\)"):
+        expm_skew_many(np.stack([sigma_x, 1e6 * (sigma_x + 1e-8j * bad)]), 1.0)
     assert not is_unitary(np.full((2, 2), np.nan))
     # the unitarity default is the 1e-8 every caller in the package uses
     assert is_unitary(expm_skew(sigma_x, 0.3) * (1 + 1e-9))
