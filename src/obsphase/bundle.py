@@ -19,7 +19,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import NotClosedError, NotUnitaryError
-from .linalg import is_unitary
+from .linalg import is_unitary, matmul_stack
 from .obspace import OrthDecomposition, fiber_contains, match_columns, wrap_angle
 from .propagation import Propagator
 
@@ -81,7 +81,7 @@ def lift_from_propagator(
         if not fiber_contains(W, obs, reference):
             raise ValueError("start must lie in the fiber over the initial frame")
     adj = np.conj(np.swapaxes(p.unitaries, 1, 2))
-    return LiftCurve(grid=p.grid, unitaries=adj @ W, reference=reference)
+    return LiftCurve(grid=p.grid, unitaries=matmul_stack(adj, W), reference=reference)
 
 
 def horizontal_lift(raw: LiftCurve):
@@ -91,13 +91,13 @@ def horizontal_lift(raw: LiftCurve):
     the accumulated connection increments.
     """
     F = raw.reference.vectors
-    B = raw.unitaries @ F  # columns: transported frame vectors
+    B = matmul_stack(raw.unitaries, F)  # columns: transported frame vectors
     overlaps = np.einsum("kin,kin->kn", B[:-1].conj(), B[1:])
     delta = np.angle(overlaps)
     g = np.zeros((len(raw.grid), raw.dim))
     g[1:] = -np.cumsum(delta, axis=0)
     B *= np.exp(1j * g)[:, None, :]  # in place: one stack fewer at the peak
-    corrected = B @ F.conj().T
+    corrected = matmul_stack(B, F.conj().T)
     return LiftCurve(grid=raw.grid, unitaries=corrected, reference=raw.reference)
 
 

@@ -234,8 +234,9 @@ def make_warped(inner, warp, dwarp, duration, breakpoints=()):
 
 
 def make_quadratic_warp(inner, T):
-    """Quadratic time warp of inner over [0, T]: s(u) = u^2 / T."""
-    return make_warped(inner, lambda u: u * u / T, lambda u: 2 * u / T, T)
+    """Quadratic time warp of inner over [0, T]: s(u) = u^2 / T, written
+    as T (u/T)^2 so that u^2 cannot overflow for a T near the float range."""
+    return make_warped(inner, lambda u: T * (u / T) ** 2, lambda u: 2 * (u / T), T)
 
 
 def make_zero(dim):

@@ -19,7 +19,7 @@ from .errors import (
     NotGaugeError,
     NotUnitaryError,
 )
-from .linalg import GAP_TOL, hermitian_eig, is_unitary, sigma_x, sigma_y, sigma_z
+from .linalg import GAP_TOL, hermitian_eig, is_unitary, require_hermitian, sigma_x, sigma_y, sigma_z
 
 TWO_PI = 2 * np.pi
 
@@ -69,6 +69,7 @@ def from_observable(X):
     degenerate: c X gives the frame of X for every c > 0, and a zero or
     identity observable is rejected.
     """
+    require_hermitian(X, "matrix")  # before the norm, which fails on a NaN
     rel_tol = GAP_TOL * np.linalg.norm(X, 2)
     dec = hermitian_eig(X, gap_tol=rel_tol)
     if dec.min_gap <= rel_tol:

@@ -731,3 +731,12 @@ def test_a_non_hermitian_observable_is_pointed_at():
     with pytest.raises(ScenarioError, match="not Hermitian") as err:
         validate_scenario(raw)
     assert err.value.pointer == "/observable"
+
+
+def test_a_tiny_field_reparameterizes_without_overflow(tmp_path, capsys):
+    # T = 2 pi 1e300: the quadratic warp squared u before dividing by T
+    raw = scenario(params={"mu_B": 1e-300, "phi": np.pi / 3, "steps": 4096}, checks=["reparameterization"])
+    assert main(["run", write_scenario(tmp_path, raw), "--out", str(tmp_path)]) == 0, (
+        capsys.readouterr().err
+    )
+    assert read_report(tmp_path, "t")["residuals"]["reparameterization"] < 1e-6

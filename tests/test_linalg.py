@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from obsphase.linalg import (
     ident2,
     is_hermitian,
     is_unitary,
+    matmul_stack,
     normalize,
     operator_norm,
     sigma_x,
@@ -181,3 +184,54 @@ def test_checks_name_the_shared_tolerance_and_refuse_nan():
     # the unitarity default is the 1e-8 every caller in the package uses
     assert is_unitary(expm_skew(sigma_x, 0.3) * (1 + 1e-9))
     assert not is_unitary(expm_skew(sigma_x, 0.3) * (1 + 1e-7))
+
+
+def eigh_expm_many(Hs, s):
+    """The eigendecomposition formula expm_skew_many uses at d != 2, kept
+    as the reference for the qubit closed form."""
+    w, V = np.linalg.eigh(Hs)
+    return np.einsum("kij,kj,klj->kil", V, np.exp(-1j * s * w), V.conj())
+
+
+def max_drift(Us):
+    gram = np.conj(np.swapaxes(Us, -1, -2)) @ Us
+    return float(np.max(np.abs(gram - np.eye(Us.shape[-1]))))
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e-8, 1.0, 1e8, 1e150])
+def test_qubit_closed_form_matches_the_eigh_formula(c):
+    rng = np.random.default_rng(41)
+    random = [random_hermitian(rng, 2) for _ in range(256)]
+    # zero, scalar and diagonal generators: r = 0 or H_10 = 0
+    special = [0 * ident2, 0.7 * ident2, -1.3 * ident2, np.diag([0.4, -2.0]), sigma_x, sigma_y]
+    Hs = c * np.stack(random + special).astype(complex)
+    for s in (1 / c, -1 / c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            U = expm_skew_many(Hs, s)
+        R = eigh_expm_many(Hs, s)
+        assert np.max(np.abs(U - R)) <= 1e-14
+        assert max_drift(U) <= max_drift(R)
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b", [((1000, 2, 2), (2, 2)), ((31, 32, 2, 2), (31, 1, 2, 2))]
+)
+def test_qubit_stack_product_matches_matmul(shape_a, shape_b):
+    rng = np.random.default_rng(43)
+    A = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
+    B = rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b)
+    P, R = matmul_stack(A, B), A @ B
+    assert P.shape == R.shape
+    scale = np.abs(R).max(axis=(-2, -1))
+    assert np.all(np.abs(P - R).max(axis=(-2, -1)) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_larger_stacks_keep_eigh_and_matmul_bit_for_bit(d):
+    rng = np.random.default_rng(47)
+    Hs = np.stack([random_hermitian(rng, d) for _ in range(64)])
+    assert np.array_equal(expm_skew_many(Hs, 0.3), eigh_expm_many(Hs, 0.3))
+    A = expm_skew_many(Hs, 0.3)
+    assert np.array_equal(matmul_stack(A, A[0]), A @ A[0])
+    assert np.array_equal(matmul_stack(A[None], A[:, None]), A[None] @ A[:, None])

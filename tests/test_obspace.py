@@ -10,6 +10,7 @@ from obsphase.errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
     NotGaugeError,
+    NotHermitianError,
     NotUnitaryError,
 )
 from obsphase.linalg import sigma_x, sigma_z
@@ -118,6 +119,13 @@ def test_from_observable_gap_is_relative_to_the_norm():
     for X in (np.zeros((2, 2)), np.eye(2), 1e-10 * np.eye(3)):
         with pytest.raises(DegenerateSpectrumError):
             from_observable(X)
+
+
+@pytest.mark.parametrize("X", [[[np.nan, 0.0], [0.0, 1.0]], [[1.0, 1.0], [0.0, -1.0]]])
+def test_from_observable_tests_hermiticity_before_the_norm(X):
+    # the 2-norm came first, and an SVD of a NaN matrix does not converge
+    with pytest.raises(NotHermitianError):
+        from_observable(np.array(X, dtype=complex))
 
 
 def scaled_observable_fixture():

@@ -192,3 +192,17 @@ def test_non_finite_schedule_samples_are_refused():
     nan_tail = make_warped(h, lambda u: u, lambda u: np.where(u > 1.0, np.nan, 1.0), T)
     with pytest.raises(ScheduleDomainError, match=r"not finite at t=1\.006"):
         solve(nan_tail, T, steps=64)
+
+
+def test_qubit_solves_call_no_eigh(monkeypatch):
+    # d = 2 steps take the closed form; larger d one batched eigh per solve
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(a[0].shape) or eigh(*a, **kw))
+    solve(make_rotating(1.0, 3.0, 2.0), np.pi, steps=1024)
+    assert calls == []
+    rng = np.random.default_rng(29)
+    A = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    tabulated = make_tabulated(np.linspace(0.0, 2.0, 5), A + np.conj(np.swapaxes(A, 1, 2)))
+    solve(tabulated, 2.0, steps=1024)
+    assert calls == [(1024, 3, 3)]
