@@ -60,7 +60,8 @@ def detect_cyclic(p: Propagator, X0, tol=CYCLIC_TOL):
         is_cyclic=bool(ok and tuple(int(m) for m in perm) == identity),
         thetas=thetas,
         permutation=tuple(int(m) for m in perm),
-        residual=float(np.max(1.0 - amps)),
+        # an amplitude that rounds above 1 is no deficit; a NaN stays NaN
+        residual=float(np.maximum(np.max(1.0 - amps), 0.0)),
         frame=obs,
     )
 
@@ -152,16 +153,18 @@ def geometric_phases(
     hol = holonomy(lift, tol=tol)
     gaps = circular_distance(beta, hol.betas)
     cross = float(np.max(gaps))
-    if cross > cross_tol:
-        # both routes carry the O(dt^2) step error, so each doubling of
-        # the steps divides the gap by about 4
-        doublings = max(1, math.ceil(math.log(cross / cross_tol, 4)))
-        raise CrossCheckError(
+    if not (cross <= cross_tol):  # written so that a NaN gap fails
+        msg = (
             f"phase-difference route and holonomy route disagree: "
             f"max gap {cross:.3e} > {cross_tol:g} at {p.steps} steps "
-            f"(beta {beta}, holonomy {hol.betas}); the O(dt^2) rate predicts "
-            f"that {p.steps * 2**doublings} steps pass"
+            f"(beta {beta}, holonomy {hol.betas})"
         )
+        if math.isfinite(cross):
+            # both routes carry the O(dt^2) step error, so each doubling
+            # of the steps divides the gap by about 4
+            doublings = max(1, math.ceil(math.log(cross / cross_tol, 4)))
+            msg += f"; the O(dt^2) rate predicts that {p.steps * 2**doublings} steps pass"
+        raise CrossCheckError(msg)
     return PhaseReport(
         theta=cyc.thetas,
         gamma=gamma,

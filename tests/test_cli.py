@@ -505,6 +505,19 @@ def test_demo_scenarios_run(path, tmp_path):
     assert any(tmp_path.iterdir())
 
 
+
+def test_demo_cyclicity_residuals_are_never_negative(tmp_path):
+    # an overlap amplitude that rounds above 1 is no deficit, and three
+    # of the demos have one
+    residuals = []
+    for path in DEMO_SCENARIOS:
+        out = tmp_path / path.stem
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        for report in out.glob("*-report.json"):
+            residuals.append(json.loads(report.read_text())["residuals"].get("cyclicity"))
+    residuals = [r for r in residuals if r is not None]
+    assert len(residuals) >= 4 and min(residuals) >= 0.0
+
 # ------------------------------------------------ negative drive frequency
 
 

@@ -1,9 +1,11 @@
+import time
 from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import obsphase.obspace as obspace
 from obsphase.errors import (
@@ -372,3 +374,87 @@ def test_d2_frames_1e9_apart_need_no_search(monkeypatch):
     phi = 1e-9
     D = distance_DW(half_angle_frame(0.0), half_angle_frame(phi))
     assert abs(D - 2 * np.sin(phi / 4)) <= 1e-15
+
+
+def _spectral_reduction_holds(A, rel):
+    # the global phase only turns the spectrum of A D(theta), so a dense
+    # scan of it reaches the closed form within half the scan step, and
+    # never goes below it
+    scan = 4096
+    lam = np.linalg.eigvals(A * np.exp(1j * np.concatenate([[0.0], rel]))[None, :])
+    turns = np.exp(1j * np.arange(scan) * 2 * np.pi / scan)
+    scanned = float(np.min(np.max(np.abs(1 - turns[:, None] * lam[None, :]), axis=1)))
+    reduced = float(obspace._eig_objective(A, rel))
+    assert reduced <= scanned + 1e-12
+    assert reduced >= scanned - np.pi / scan - 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([3, 4]))
+def test_global_phase_in_closed_form_matches_a_dense_scan(seed, d):
+    rng = np.random.default_rng(seed)
+    A = haar_frame(rng, d).vectors
+    _spectral_reduction_holds(A, rng.uniform(0.0, 2 * np.pi, d - 1))
+
+
+def test_global_phase_in_closed_form_across_minus_pi():
+    # a spectrum in a narrow arc around -1, split by the branch cut of
+    # np.angle: the widest gap lies inside the sorted angles, not across -pi
+    for angles in ([np.pi - 0.1, -np.pi + 0.05, np.pi - 0.02], [3.0, -3.1, 2.9, -2.95]):
+        A = np.diag(np.exp(1j * np.array(angles)))
+        rel = np.zeros(len(angles) - 1)
+        _spectral_reduction_holds(A, rel)
+        w = max(a % (2 * np.pi) for a in angles) - min(a % (2 * np.pi) for a in angles)
+        assert abs(float(obspace._eig_objective(A, rel)) - 2 * np.sin(w / 4)) <= 1e-15
+
+
+def _bottleneck_lower_bound(A):
+    # min over pairings of max_n sqrt(2 - 2|A_{n, sigma(n)}|), found as the
+    # smallest threshold whose admissible entries hold a perfect matching
+    cost = np.sqrt(np.maximum(0.0, 2 - 2 * np.abs(A)))
+    for t in np.unique(cost):
+        rows, cols = linear_sum_assignment(cost > t)
+        if not (cost[rows, cols] > t).any():
+            return float(t)
+
+
+@pytest.mark.parametrize("d", [5, 8])
+def test_greedy_pairing_and_bounded_grid_beyond_d4(d):
+    assert obspace._grid_points(d) ** (d - 1) <= 4096 < (obspace._grid_points(d) + 1) ** (d - 1)
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        O, O2 = haar_frame(rng, d), haar_frame(rng, d)
+        A = O.vectors.conj().T @ O2.vectors
+        sigma = obspace._greedy_pairing(np.abs(A))
+        assert sorted(sigma) == list(range(d))
+        B = A[:, list(sigma)]
+        U = B * np.exp(-1j * np.angle(np.diag(B)))[None, :]
+        aligned = np.linalg.norm(np.eye(d) - U, 2)
+        start = time.process_time()
+        D = distance_DW(O, O2)
+        assert time.process_time() - start < 1.0
+        assert _bottleneck_lower_bound(A) - 1e-12 <= D <= aligned + 1e-12
+
+
+# the least value found, for the first 10 default_rng(21) pairs at d = 3
+# and the first 2 default_rng(22) pairs at d = 4 (haar_frame), by 24
+# random Nelder-Mead starts per pairing over all d phases on
+# max_n |1 - lambda_n|, and by a compass search from the phase-aligned
+# point of each pairing
+BEST_KNOWN = {
+    3: (21, [0.5456531639467074, 0.9558761987677812, 0.914954377733499, 0.9190404174862216,
+             0.9558296731230261, 0.6819227259461468, 0.8174071098344009, 0.6487843975658748,
+             0.7992317402050599, 0.7647120771875136]),
+    4: (22, [0.9674359693959713, 0.9872036053796432]),
+}
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_distance_at_or_below_the_best_known_values(d):
+    seed, table = BEST_KNOWN[d]
+    rng = np.random.default_rng(seed)
+    for k, best in enumerate(table):
+        O, O2 = haar_frame(rng, d), haar_frame(rng, d)
+        D = distance_DW(O, O2)
+        assert D <= best + 1e-9, (k, D, best)
+        assert D >= _bottleneck_lower_bound(O.vectors.conj().T @ O2.vectors) - 1e-12, k

@@ -270,6 +270,18 @@ def test_geometric_phases_cross_check_guard():
         geometric_phases(p, wrong_h, rotating_observable(w0, w1, w)[0])
 
 
+
+def test_a_nan_cross_gap_fails_the_cross_check(monkeypatch):
+    # a NaN gap must fail the check, though NaN > tol is False, and the
+    # step-count hint must not take the log of NaN
+    w0, w1, w = 1.0, 3.0, 2.0
+    h = make_rotating(w0, w1, w)
+    p = solve(h, TWO_PI / w, steps=2048)
+    monkeypatch.setattr(phases, "circular_distance", lambda a, b: np.full(len(a), np.nan))
+    with pytest.raises(CrossCheckError, match="max gap nan") as err:
+        geometric_phases(p, h, rotating_observable(w0, w1, w)[0])
+    assert "predicts" not in str(err.value)
+
 def per_point_dynamical_phase(h, psi, T, steps):
     """Reference: one eval per Simpson node and scipy's simpson, on the
     same segments and with the same one-sided nudge at cuts."""
