@@ -8,15 +8,30 @@ vanishes. For a closed base curve the horizontal lift ends a gauge
 transformation away from its start; the phases of that gauge element
 are the geometric phases.
 
-Discretization: per step the connection increment of level n is
-arg <f_n| Gamma_k^dag Gamma_{k+1} |f_n>, and the gauge correction
-subtracts exactly that, making each transported overlap real positive.
-This is midpoint-exact for the (diagonal) gauge ODE; the global phase
-error is O(dt^2).
+Discretization: the lift at t_k is Gamma_k = U(0, t_k) W, which carries
+each reference vector onto a transported frame vector U_k^dag f_n, with
+f = W R the frame of the initial observable. The connection increment
+of level n over step k is the phase of the overlap of neighbouring
+transported vectors,
+
+    <f_n| U_k U_{k+1}^dag |f_n> = <f_n| S_k^dag |f_n>,
+
+with S_k = U_{k+1} U_k^dag the step unitary. So it is read in the fixed
+initial frame, from the steps alone, and the horizontal lift is the raw
+one times the gauge phases g_{k,n} = sum_{j<k} arg <f_n|S_j|f_n>, which
+make each transported overlap real positive: the Aharonov-Anandan phase
+(Phys. Rev. Lett. 58, 1593, 1987), summed step by step. This is
+midpoint-exact for the (diagonal) gauge ODE; the global phase error is
+O(dt^2). The increment depends on the projectors |f_n><f_n| only, so a
+gauge start or another reference frame moves it by rounding alone. The
+holonomy needs U(T, 0) and g_N only; neither the running products U_k
+nor the lift's unitaries are formed unless LiftCurve.unitaries is read.
 """
 
+from dataclasses import dataclass, replace
+from functools import cached_property
+
 import numpy as np
-from dataclasses import dataclass
 
 from .errors import NotClosedError, NotUnitaryError
 from .linalg import is_unitary, matmul_stack
@@ -24,22 +39,40 @@ from .obspace import OrthDecomposition, fiber_contains, match_columns, wrap_angl
 from .propagation import Propagator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftCurve:
-    """A sampled lift: unitaries[k] maps the reference frame onto the
-    decomposition at grid[k]."""
+    """A sampled lift over a propagator's grid: unitaries[k] maps the
+    reference frame onto the decomposition at grid[k].
 
-    grid: np.ndarray
-    unitaries: np.ndarray
+    frame holds f = W R, the initial frame vectors that the lift carries
+    the reference vectors onto, as columns, and gauge the (N + 1) x d
+    phases g of Gamma_k = U(0, t_k) f e^{i g_k} R^dag: zero for the raw
+    lift U(0, t_k) W, the accumulated increments for the horizontal one.
+    """
+
+    propagator: Propagator
+    frame: np.ndarray
     reference: OrthDecomposition
+    gauge: np.ndarray
+
+    @property
+    def grid(self):
+        return self.propagator.grid
 
     @property
     def dim(self):
-        return self.unitaries.shape[1]
+        return self.frame.shape[1]
 
     @property
     def steps(self):
-        return len(self.grid) - 1
+        return self.propagator.steps
+
+    @cached_property
+    def unitaries(self):
+        U = self.propagator.unitaries
+        moved = matmul_stack(np.conj(np.swapaxes(U, 1, 2)), self.frame)
+        moved *= np.exp(1j * self.gauge)[:, None, :]
+        return matmul_stack(moved, self.reference.vectors.conj().T)
 
     def base_at(self, k):
         """The projected decomposition at grid[k]."""
@@ -80,25 +113,22 @@ def lift_from_propagator(
         W = np.asarray(start, dtype=complex)
         if not fiber_contains(W, obs, reference):
             raise ValueError("start must lie in the fiber over the initial frame")
-    adj = np.conj(np.swapaxes(p.unitaries, 1, 2))
-    return LiftCurve(grid=p.grid, unitaries=matmul_stack(adj, W), reference=reference)
+    frame = W @ reference.vectors
+    return LiftCurve(p, frame, reference, gauge=np.zeros((p.steps + 1, obs.dim)))
 
 
 def horizontal_lift(raw: LiftCurve):
-    """The horizontal lift with the same starting point.
-
-    Right-multiplies each Gamma_k by frame-diagonal phases that cancel
-    the accumulated connection increments.
-    """
-    F = raw.reference.vectors
-    B = matmul_stack(raw.unitaries, F)  # columns: transported frame vectors
-    overlaps = np.einsum("kin,kin->kn", B[:-1].conj(), B[1:])
-    delta = np.angle(overlaps)
-    g = np.zeros((len(raw.grid), raw.dim))
-    g[1:] = -np.cumsum(delta, axis=0)
-    B *= np.exp(1j * g)[:, None, :]  # in place: one stack fewer at the peak
-    corrected = matmul_stack(B, F.conj().T)
-    return LiftCurve(grid=raw.grid, unitaries=corrected, reference=raw.reference)
+    """The horizontal lift with the same starting point: the raw lift
+    right-multiplied by the frame-diagonal phases g_k that cancel the
+    accumulated connection increments (see the module docstring)."""
+    S, f = raw.propagator.step_unitaries, raw.frame
+    d = raw.dim
+    # <f_n|S_k|f_n> = sum_ij S_k,ij conj(f_in) f_jn, as one (N, d^2) @ (d^2, d)
+    pairs = (f.conj()[:, None, :] * f[None, :, :]).reshape(d * d, d)
+    increments = S.reshape(-1, d * d) @ pairs
+    g = np.zeros((raw.steps + 1, d))
+    np.cumsum(np.angle(increments), axis=0, out=g[1:])
+    return replace(raw, gauge=g)
 
 
 @dataclass(frozen=True)
@@ -119,14 +149,15 @@ class HolonomyResult:
 def holonomy(hor: LiftCurve, tol=1e-6):
     """Read the geometric phases off the end of a horizontal lift.
 
+    The holonomy element in the initial frame is M = f^dag U(T, 0)^dag f
+    e^{i g_N}, from the final unitary and the last gauge phases alone.
     Requires the base curve to close: the holonomy element (relating the
     end of the lift to its start) must match the start frame one-to-one
     with every alignment at least 1 - max(tol, 1e-9). The floor keeps a
     tighter tol from failing on the rounding of a long lift.
     """
-    F = hor.reference.vectors
-    psi0 = hor.unitaries[0] @ F
-    M = psi0.conj().T @ (hor.unitaries[-1] @ F)
+    f = hor.frame
+    M = (f.conj().T @ hor.propagator.final().conj().T @ f) * np.exp(1j * hor.gauge[-1])
     perm, amps, ok = match_columns(M, max(tol, 1e-9))
     if not ok:
         raise NotClosedError(

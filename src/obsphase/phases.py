@@ -36,8 +36,8 @@ def circular_distance(a, b):
 class CyclicityCheck:
     is_cyclic: bool
     thetas: np.ndarray
-    permutation: tuple
-    residual: float
+    permutation: tuple  # None when no one-to-one match of the frame exists
+    residual: float  # 1 - the worst alignment, at least 0
     frame: OrthDecomposition  # the eigenframe of X0 the thetas were read in
 
 
@@ -48,18 +48,19 @@ def detect_cyclic(p: Propagator, X0, tol=CYCLIC_TOL):
     U(0, T); the phases are the thetas. If the eigenframe instead comes
     back permuted, the evolution is reported non-cyclic with the
     permutation attached (the observable still closes as a decomposition,
-    but no per-level total phase exists).
+    but no per-level total phase exists). When the best-aligned initial
+    vectors repeat, no permutation matches, and permutation is None.
     """
     obs = from_observable(np.asarray(X0, dtype=complex))
     V = p.final().conj().T
     M = obs.vectors.conj().T @ V @ obs.vectors
     perm, amps, ok = match_columns(M, tol)
     thetas = wrap_angle(np.angle(M[perm, np.arange(obs.dim)]))
-    identity = tuple(range(obs.dim))
+    matched = tuple(int(m) for m in perm)
     return CyclicityCheck(
-        is_cyclic=bool(ok and tuple(int(m) for m in perm) == identity),
+        is_cyclic=bool(ok and matched == tuple(range(obs.dim))),
         thetas=thetas,
-        permutation=tuple(int(m) for m in perm),
+        permutation=matched if sorted(matched) == list(range(obs.dim)) else None,
         # an amplitude that rounds above 1 is no deficit; a NaN stays NaN
         residual=float(np.maximum(np.max(1.0 - amps), 0.0)),
         frame=obs,
@@ -140,9 +141,16 @@ def geometric_phases(
     """
     cyc = detect_cyclic(p, X0, tol)
     if not cyc.is_cyclic:
+        if cyc.permutation is None:
+            closure = (
+                "no one-to-one match of the final eigenframe onto the initial one "
+                f"was found (worst alignment {1.0 - cyc.residual:.6f})"
+            )
+        else:
+            closure = f"permutation {cyc.permutation}"
         raise NotCyclicError(
             f"observable does not return at T={p.duration:g}: "
-            f"residual {cyc.residual:.3e}, permutation {cyc.permutation}"
+            f"residual {cyc.residual:.3e}, {closure}"
         )
     obs = cyc.frame
     gamma = dynamical_phase(h, obs.vectors, p.duration, p.steps + (p.steps % 2))

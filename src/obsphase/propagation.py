@@ -10,25 +10,32 @@ which is exactly unitary per step, so no re-orthogonalization policy is
 needed; the global error is O(dt^2). U(0, t) is always the adjoint of
 U(t, 0), never separately integrated.
 
-The schedule is sampled at all midpoints in one call, and the running
-products U_k are formed as a blocked prefix product (Blelloch 1990,
-"Prefix sums and their applications"): the steps are cut into about
-sqrt(N) blocks of about sqrt(N) steps, the prefixes inside every block
-are built at once, the block totals are chained, and each block's
+The schedule is sampled at all midpoints in one call, and a solved
+propagator keeps the step unitaries S_k = U_{k+1} U_k^dag, which is all
+the phase extraction reads: the holonomy comes from <f_n|S_k|f_n> in the
+initial frame (see obsphase.bundle), and the cyclicity check from U(T, 0)
+alone. The running products U_k are a blocked prefix product (Blelloch
+1990, "Prefix sums and their applications"): the steps are cut into
+about sqrt(N) blocks of about sqrt(N) steps, the prefixes inside every
+block are built at once, the block totals are chained, and each block's
 prefixes are applied to its incoming product. That is about 2 sqrt(N)
-batched matrix products instead of N single ones. For qubits the step
-exponentials take a closed form and the batched products are written
-out entry by entry (linalg.expm_skew_many, linalg.matmul_stack), so no
-LAPACK or BLAS call is made per 2 x 2 matrix. The products are
-associated differently from the sequential U_{k+1} = S_k U_k; on the
-rotating field that moves U_k by rounding only, about 1e-14 at
-N = 8192 and 1e-13 at N = 32768, far below the O(dt^2) error.
+batched matrix products instead of N single ones. solve runs the first
+two stages, and Propagator.final() reads U(T, 0) off them: the same
+floats as the last running product. The third stage, which writes the
+stack of N + 1 unitaries, runs only on first access to
+Propagator.unitaries. For qubits the step exponentials take a closed
+form and the batched products are written out entry by entry
+(linalg.expm_skew_many, linalg.matmul_stack), so no LAPACK or BLAS call
+is made per 2 x 2 matrix. The products are associated differently from
+the sequential U_{k+1} = S_k U_k; on the rotating field that moves U_k
+by rounding only, about 1e-14 at N = 8192 and 1e-13 at N = 32768, far
+below the O(dt^2) error.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
-from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, ScheduleDomainError
 from .hamiltonians import HamiltonianSchedule
@@ -37,16 +44,25 @@ from .linalg import expm_skew, expm_skew_many, matmul_stack, require_hermitian, 
 DEFAULT_STEPS = 4096
 
 
-@dataclass(frozen=True)
 class Propagator:
-    """Sampled family U(t_k, 0) on a uniform grid t_0 = 0 ... t_N = T."""
+    """Sampled family U(t_k, 0) on a uniform grid t_0 = 0 ... t_N = T.
 
-    grid: np.ndarray
-    unitaries: np.ndarray
+    Built from the N step unitaries S_k = U_{k+1} U_k^dag (solve), with
+    the first two stages of their blocked prefix product, or from the
+    N + 1 unitaries themselves (the exact_* samplers); the other stack
+    is derived on first access and kept.
+    """
 
-    @property
-    def dim(self):
-        return self.unitaries.shape[1]
+    def __init__(self, grid, *, step_unitaries=None, unitaries=None):
+        if (step_unitaries is None) == (unitaries is None):
+            raise ValueError("give either the step unitaries or the unitaries")
+        self.grid = grid
+        if unitaries is None:
+            self.step_unitaries = step_unitaries
+            self._blocks = _block_prefixes(step_unitaries)
+        else:
+            self.unitaries = unitaries
+        self.dim = (step_unitaries if unitaries is None else unitaries).shape[1]
 
     @property
     def steps(self):
@@ -56,11 +72,25 @@ class Propagator:
     def duration(self):
         return float(self.grid[-1])
 
+    @cached_property
+    def unitaries(self):
+        return _prefix_products(*self._blocks, self.steps)
+
+    @cached_property
+    def step_unitaries(self):
+        U = self.unitaries
+        return matmul_stack(U[1:], np.conj(np.swapaxes(U[:-1], 1, 2)))
+
     def at(self, k):
         return self.unitaries[k]
 
     def final(self):
-        return self.unitaries[-1]
+        """U(T, 0): the same floats as unitaries[-1], without forming them."""
+        if "unitaries" in self.__dict__:
+            return self.unitaries[-1]
+        local, incoming = self._blocks
+        b, j = divmod(self.steps - 1, local.shape[1])
+        return matmul_stack(local[b, j], incoming[b])
 
 
 def solve(h: HamiltonianSchedule, T, steps=DEFAULT_STEPS):
@@ -94,30 +124,37 @@ def solve(h: HamiltonianSchedule, T, steps=DEFAULT_STEPS):
         raise ScheduleDomainError(
             f"schedule is not finite at t={mids[np.argmin(finite)]:g}"
         )
-    return Propagator(grid=grid, unitaries=_prefix_products(expm_skew_many(H_mid, dt)))
+    return Propagator(grid, step_unitaries=expm_skew_many(H_mid, dt))
 
 
-def _prefix_products(S):
-    """[I, S_0, S_1 S_0, ..., S_{N-1} ... S_0] for a stack of N steps,
-    as a blocked prefix product (see the module docstring)."""
+def _block_prefixes(S):
+    """The first two stages of the blocked prefix product of a stack of N
+    steps (see the module docstring): the prefixes inside every block,
+    shape (B, L, d, d) with identities past the last step, and the
+    product coming into each block, shape (B, d, d)."""
     N, d = S.shape[0], S.shape[1]
     L = math.isqrt(N - 1) + 1  # ceil(sqrt(N)) steps per block
     B = -(-N // L)
-    blocks = np.empty((B * L, d, d), dtype=complex)
-    blocks[:N] = S
-    blocks[N:] = np.eye(d)
-    blocks = blocks.reshape(B, L, d, d)
-    local = np.empty_like(blocks)
-    local[:, 0] = blocks[:, 0]
+    local = np.empty((B, L, d, d), dtype=complex)
+    flat = local.reshape(B * L, d, d)
+    flat[:N] = S
+    flat[N:] = np.eye(d)
     for j in range(1, L):
-        local[:, j] = matmul_stack(blocks[:, j], local[:, j - 1])
+        local[:, j] = matmul_stack(local[:, j], local[:, j - 1])
     incoming = np.empty((B, d, d), dtype=complex)
     incoming[0] = np.eye(d)
     for b in range(1, B):
         incoming[b] = local[b - 1, -1] @ incoming[b - 1]
+    return local, incoming
+
+
+def _prefix_products(local, incoming, N):
+    """[I, S_0, S_1 S_0, ..., S_{N-1} ... S_0]: each block's prefixes
+    applied to its incoming product."""
+    d = local.shape[-1]
     unitaries = np.empty((N + 1, d, d), dtype=complex)
     unitaries[0] = np.eye(d)
-    unitaries[1:] = matmul_stack(local, incoming[:, None]).reshape(B * L, d, d)[:N]
+    unitaries[1:] = matmul_stack(local, incoming[:, None]).reshape(-1, d, d)[:N]
     return unitaries
 
 
@@ -135,7 +172,7 @@ def exact_rotating_propagator(w0, w1, w, T, steps=DEFAULT_STEPS):
     """Propagator sampled from the rotating-field closed form."""
     grid = np.linspace(0.0, T, steps + 1)
     unitaries = np.stack([closed_form_rotating(w0, w1, w, t) for t in grid])
-    return Propagator(grid=grid, unitaries=unitaries)
+    return Propagator(grid, unitaries=unitaries)
 
 
 def exact_constant_propagator(mu_B, T, steps=DEFAULT_STEPS):
@@ -145,7 +182,7 @@ def exact_constant_propagator(mu_B, T, steps=DEFAULT_STEPS):
     unitaries = np.zeros((steps + 1, 2, 2), dtype=complex)
     unitaries[:, 0, 0] = ph
     unitaries[:, 1, 1] = ph.conj()
-    return Propagator(grid=grid, unitaries=unitaries)
+    return Propagator(grid, unitaries=unitaries)
 
 
 def inverse_at(p: Propagator, k):

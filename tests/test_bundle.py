@@ -287,3 +287,55 @@ def test_invariance_under_measurement_point():
         ref = haar_frame(rng)
         moved = holonomy(horizontal_lift(lift_from_propagator(p, obs, reference=ref)))
         assert multiset_gap(base.betas, moved.betas) < 1e-6
+
+
+# ------------------------------- the step-read holonomy against the frames
+
+
+def frame_overlap_holonomy(p, obs, reference=None, start=None):
+    """The holonomy as read before the step unitaries were used: the
+    transported frames U_k^dag W R from the running products, the phases
+    of consecutive overlaps, and the closure of the corrected last frame
+    on the first. Returns (betas in frame order, gauge phases g)."""
+    R = (obs if reference is None else reference).vectors
+    W = obs.vectors @ R.conj().T if start is None else start
+    frames = np.conj(np.swapaxes(p.unitaries, 1, 2)) @ W @ R
+    delta = np.angle(np.einsum("kin,kin->kn", frames[:-1].conj(), frames[1:]))
+    g = np.zeros((p.steps + 1, obs.dim))
+    g[1:] = -np.cumsum(delta, axis=0)
+    M = frames[0].conj().T @ (frames[-1] * np.exp(1j * g[-1]))
+    perm = np.argmax(np.abs(M), axis=0)
+    assert sorted(perm) == list(range(obs.dim))
+    return np.angle(M[perm, np.arange(obs.dim)]) % TWO_PI, g
+
+
+def _cyclic_d3_drive(steps):
+    # a non-commuting spin-1-sized drive; the observable is a function of
+    # U(T, 0), so it returns
+    rng = np.random.default_rng(29)
+    A = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    h = make_tabulated(np.linspace(0.0, 2.0, 5), A + np.conj(np.swapaxes(A, 1, 2)))
+    p = solve(h, 2.0, steps=steps)
+    V = np.linalg.qr(np.linalg.eig(p.final())[1])[0]
+    return p, from_observable(V @ np.diag([1.0, 2.0, 3.5]) @ V.conj().T)
+
+
+@pytest.mark.parametrize("fixture", ["rotating-8192", "tabulated-d3-1024"])
+def test_step_read_holonomy_matches_the_frame_overlaps(fixture):
+    rng = np.random.default_rng(31)
+    if fixture == "rotating-8192":
+        w0, w1, w = 1.0, 3.0, 2.0
+        p = solve(make_rotating(w0, w1, w), TWO_PI / w, steps=8192)
+        obs = from_observable(rotating_observable(w0, w1, w)[0])
+    else:
+        p, obs = _cyclic_d3_drive(1024)
+    ref = haar_frame(rng, obs.dim)
+    g = random_gauge(rng, obs.dim)
+    W = obs.vectors @ ref.vectors.conj().T @ g.in_frame(ref)
+    for kwargs in ({}, {"reference": ref}, {"start": g.in_frame(obs)}, {"reference": ref, "start": W}):
+        hor = horizontal_lift(lift_from_propagator(p, obs, **kwargs))
+        got = holonomy(hor, tol=1e-9)
+        want, gauge = frame_overlap_holonomy(p, obs, **kwargs)
+        gaps = np.abs(got.betas - want) % TWO_PI
+        assert np.max(np.minimum(gaps, TWO_PI - gaps)) <= 1e-12
+        assert np.max(np.abs(hor.gauge - gauge)) <= 1e-12

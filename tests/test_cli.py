@@ -753,3 +753,54 @@ def test_a_tiny_field_reparameterizes_without_overflow(tmp_path, capsys):
         capsys.readouterr().err
     )
     assert read_report(tmp_path, "t")["residuals"]["reparameterization"] < 1e-6
+
+
+# ----------------------------------------- running products only for curves
+
+
+def _count_prefix_products(monkeypatch):
+    import obsphase.propagation as propagation
+
+    calls = []
+    original = propagation._prefix_products
+    monkeypatch.setattr(
+        propagation, "_prefix_products", lambda *a: calls.append(1) or original(*a)
+    )
+    return calls
+
+
+def test_phases_sweeps_checks_and_reports_form_no_running_products(tmp_path, monkeypatch, capsys):
+    from obsphase.gates import rotating_problem
+
+    calls = _count_prefix_products(monkeypatch)
+    h, T, X0, n = rotating_problem(1.0, 3.0, 2.0, 1024)
+    geometric_phases(solve(h, T, steps=n), h, X0)
+    assert calls == []
+
+    path = write_scenario(tmp_path, scenario())
+    assert main(["sweep", path, "--param", "phi", "--range", "0.5:2.5:3", "--out", str(tmp_path)]) == 0
+    assert calls == []
+
+    checked = scenario(
+        system="rotating-field",
+        params={"w0": 1.0, "w1": 3.0, "w": 2.0, "steps": 1024},
+        checks=["reparameterization", "gauge-start", "reference-frame"],
+    )
+    assert main(["run", write_scenario(tmp_path, checked), "--out", str(tmp_path)]) == 0
+    assert calls == []
+
+    curves = dict(checked, outputs=["report", "curve_csv", "bloch_csv"])
+    assert main(["run", write_scenario(tmp_path, curves), "--out", str(tmp_path)]) == 0
+    assert calls == [1]
+
+
+def test_a_match_that_is_no_permutation_is_not_called_one(tmp_path, capsys):
+    # w = 1e-300 makes T = 6.3e300 and U(T, 0) zero: every column's
+    # best-aligned row is row 0
+    raw = scenario(system="rotating-field", params={"w0": 1.0, "w1": 3.0, "w": 1e-300})
+    assert main(["run", write_scenario(tmp_path, raw), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "NotCyclicError" in err
+    assert "permutation" not in err
+    assert "no one-to-one match of the final eigenframe onto the initial one" in err
+    assert "(worst alignment 0.000000)" in err

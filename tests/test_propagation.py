@@ -17,6 +17,7 @@ from obsphase.hamiltonians import (
 )
 from obsphase.linalg import expm_skew_many, sigma_x, sigma_y, sigma_z
 from obsphase.propagation import (
+    Propagator,
     closed_form_rotating,
     exact_constant_propagator,
     exact_rotating_propagator,
@@ -184,6 +185,53 @@ def test_blocked_product_matches_sequential_loop(steps):
         assert np.max(np.linalg.norm(blocked - reference, axis=(1, 2))) <= 1e-13
         # the same rounding, associated differently: drift within noise of the loop's
         assert unitarity_drift(blocked) <= 1.5 * unitarity_drift(reference) + 1e-15
+
+
+def _random_d3_drive():
+    rng = np.random.default_rng(29)
+    A = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    return make_tabulated(np.linspace(0.0, 2.0, 5), A + np.conj(np.swapaxes(A, 1, 2))), 2.0
+
+
+@pytest.mark.parametrize("steps", [8, 9, 10, 1001, 8192])
+@pytest.mark.parametrize("final_first", [True, False], ids=["final-first", "stack-first"])
+def test_final_is_the_last_running_product_bit_for_bit(steps, final_first):
+    for h, T in ((make_rotating(1.0, 3.0, 2.0), np.pi), _random_d3_drive()):
+        p = solve(h, T, steps=steps)
+        if final_first:
+            final = p.final()
+            unitaries = p.unitaries
+        else:
+            unitaries = p.unitaries
+            final = p.final()
+        assert np.array_equal(final.view(np.uint64), unitaries[-1].view(np.uint64))
+
+
+def test_a_solve_keeps_its_steps_and_forms_the_running_products_once(monkeypatch):
+    import obsphase.propagation as propagation
+
+    calls = []
+    original = propagation._prefix_products
+    monkeypatch.setattr(
+        propagation, "_prefix_products", lambda *a: calls.append(1) or original(*a)
+    )
+    p = solve(make_rotating(1.0, 3.0, 2.0), np.pi, steps=100)
+    p.final()
+    assert calls == []
+    assert p.unitaries is p.unitaries
+    p.final()
+    assert calls == [1]
+
+
+def test_explicit_unitaries_give_their_steps():
+    q = exact_rotating_propagator(1.0, 3.0, 2.0, np.pi, steps=64)
+    S = q.step_unitaries
+    assert S.shape == (64, 2, 2)
+    for k in (0, 31, 63):
+        assert np.linalg.norm(S[k] @ q.unitaries[k] - q.unitaries[k + 1]) < 1e-14
+    assert np.array_equal(q.final(), q.unitaries[-1])
+    with pytest.raises(ValueError):
+        Propagator(q.grid)
 
 
 def test_non_finite_schedule_samples_are_refused():
