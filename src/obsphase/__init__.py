@@ -85,6 +85,8 @@ from .phases import (
     detect_cyclic,
     dynamical_phase,
     geometric_phases,
+    invariance_residuals,
+    multiset_gap,
 )
 from .gates import (
     GateSpec,

@@ -8,7 +8,6 @@ timestamps.
 """
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -17,7 +16,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bundle import holonomy, horizontal_lift, lift_from_propagator
 from .errors import (
     CrossCheckError,
     DynamicalResidualError,
@@ -33,15 +31,19 @@ from .gates import (
     read_two_loop_gate,
     rotating_problem,
     tilted_observable,
-    two_loop_protocol,  # unused here; the benchmark's tracer wraps cli.two_loop_protocol
     two_qubit_gate,
     u_phi_beta,
 )
-from .hamiltonians import make_constant_z, make_quadratic_warp, make_tabulated
+from .hamiltonians import make_constant_z, make_tabulated
 from .linalg import is_hermitian, sigma_x, sigma_y, sigma_z
-from .obspace import TWO_PI, OrthDecomposition, from_observable, random_gauge, wrap_angle
-from .phases import CYCLIC_TOL, circular_distance, detect_cyclic, geometric_phases
+from .obspace import TWO_PI, from_observable, wrap_angle
+from .phases import CYCLIC_TOL, geometric_phases, invariance_residuals
 from .propagation import DEFAULT_STEPS, solve
+
+# unused here: the benchmark's tracer wraps these names as cli attributes
+from .bundle import holonomy, horizontal_lift, lift_from_propagator
+from .gates import two_loop_protocol
+from .phases import detect_cyclic
 
 _CHECKS = ("reparameterization", "gauge-start", "reference-frame")
 _OUTPUT_KINDS = ("report", "curve_csv", "bloch_csv")
@@ -168,6 +170,9 @@ def _check_params(params, system):
         params["steps"] = int(steps)
     if spec.nonzero:
         _want(params[spec.nonzero] != 0, f"/params/{spec.nonzero}", "must be nonzero")
+        # unless T is given, this param sets the duration: 2pi/|x| per loop
+        T = spec.build({"params": params}, 8)[1]
+        _want(np.isfinite(T), f"/params/{spec.nonzero}", "too small: the duration overflows")
     _want(params.get("T", 1.0) > 0, "/params/T", "duration must be positive")
 
 
@@ -346,11 +351,11 @@ def _two_loop_gate(report, sc, p, phase_report):
 
 
 class _System(NamedTuple):
-    """One system: its params, the param that must be nonzero, build(sc,
-    steps) -> (schedule, T, X0, steps) or None when nothing evolves,
-    gate(report, sc, p, phase_report) adding the gate read off the
-    solved propagator, and whether the schedule jumps (so it cannot be
-    warped)."""
+    """One system: its params, the param that must be nonzero and, unless
+    T is given, sets the duration, build(sc, steps) -> (schedule, T, X0,
+    steps) or None when nothing evolves, gate(report, sc, p, phase_report)
+    adding the gate read off the solved propagator, and whether the
+    schedule jumps (so it cannot be warped)."""
 
     required: tuple
     optional: tuple = ("steps",)
@@ -376,49 +381,6 @@ def _build_problem(sc, steps_override):
     """Schedule, duration, observable and step count of an evolving system."""
     steps = steps_override or sc["params"].get("steps", DEFAULT_STEPS)
     return _SYSTEMS[sc["system"]].build(sc, int(steps))
-
-
-def _multiset_gap(a, b):
-    """Smallest worst-case circular distance over pairings of the two
-    phase multisets (levels may come back permuted)."""
-    a, b = np.atleast_1d(a), np.atleast_1d(b)
-    best = np.inf
-    for perm in itertools.permutations(range(len(b))):
-        best = min(best, float(np.max(circular_distance(a, b[list(perm)]))))
-    return best
-
-
-def _holonomy_betas(p, obs, tol, reference=None, start=None):
-    hor = horizontal_lift(lift_from_propagator(p, obs, reference=reference, start=start))
-    return holonomy(hor, tol=tol).betas
-
-
-def _haar_frame(rng, d):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    return OrthDecomposition(q * np.exp(-1j * np.angle(np.diag(r))))
-
-
-def _invariance_residuals(sc, p, h, T, steps, report, tol):
-    """Rerun the holonomy route under the enabled deformations, at the
-    run's tolerance and from the run's observable frame, and record how
-    far the beta multiset moved."""
-    out = {}
-    obs = report.lift.reference
-    rng = np.random.default_rng(0)
-    for check in sc["checks"]:
-        if check == "reparameterization":
-            p2 = solve(make_quadratic_warp(h, T), T, steps=steps)
-            betas = _holonomy_betas(p2, obs, tol)
-        elif check == "gauge-start":
-            g = random_gauge(rng, obs.dim)
-            betas = _holonomy_betas(p, obs, tol, start=g.in_frame(obs))
-        else:  # reference-frame
-            betas = _holonomy_betas(p, obs, tol, reference=_haar_frame(rng, obs.dim))
-        out[check.replace("-", "_")] = _round12(
-            _multiset_gap(report.holonomy_beta, betas)
-        )
-    return out
 
 
 def _base_report(sc):
@@ -490,8 +452,9 @@ def run_scenario(sc, out_dir=".", steps=None, tol=None):
         _fill_phase_fields(report, phase_report)
         if system.gate:
             system.gate(report, sc, p, phase_report)
+        gaps = invariance_residuals(p, h, phase_report, sc["checks"], tol)
         report["residuals"].update(
-            _invariance_residuals(sc, p, h, T, n, phase_report, tol)
+            {check.replace("-", "_"): _round12(gap) for check, gap in gaps.items()}
         )
 
     if {"curve_csv", "bloch_csv"} & set(sc["outputs"]):
@@ -569,13 +532,12 @@ def sweep_scenario(sc, param, values, out_dir=".", steps=None, tol=None):
         for value, params in zip(values, row_params):
             h, T, X0, n = _build_problem(dict(sc, params=params), steps)
             p = solve(h, T, steps=n)
-            cyc = detect_cyclic(p, X0, tol=tol)
-            if not cyc.is_cyclic:
-                cells = [_fmt(value)] + ["nan"] * (dim + 1)
-                cells += [_fmt(cyc.residual), "not-cyclic"]
-            else:
+            cells = [_fmt(value)]
+            try:
                 r = geometric_phases(p, h, X0, tol=tol)
-                cells = [_fmt(value)]
+            except NotCyclicError as e:
+                cells += ["nan"] * (dim + 1) + [_fmt(e.check.residual), "not-cyclic"]
+            else:
                 cells += [_fmt(_angle(b)) for b in r.beta]
                 cells += [_fmt(r.cross_residual), _fmt(r.cyclicity_residual), "ok"]
             f.write(",".join(cells) + "\n")

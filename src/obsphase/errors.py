@@ -42,7 +42,11 @@ class NotGaugeError(ObsphaseError):
 
 
 class NotCyclicError(ObsphaseError):
-    """An evolution is not cyclic for the given observable at the requested tolerance."""
+    """An evolution is not cyclic at the requested tolerance; `check` is the failed CyclicityCheck."""
+
+    def __init__(self, message, check=None):
+        self.check = check
+        super().__init__(message)
 
 
 class CrossCheckError(ObsphaseError):

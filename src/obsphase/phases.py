@@ -9,18 +9,25 @@ with gamma_n the time integral of the energy expectation in the FIXED
 initial eigenstate and beta_n the geometric remainder. beta_n is also,
 independently, the holonomy of the horizontal lift of the projected
 curve; geometric_phases computes both and cross-checks them.
+
+The paper's invariances of beta (reparameterization of the cycle, the
+gauge at the start of the lift, the reference frame) are checked in one
+place, invariance_residuals, which the CLI's report checks call.
 """
 
+import itertools
 import math
 
 import numpy as np
 from dataclasses import dataclass
 
+from . import propagation
 from .bundle import LiftCurve, holonomy, horizontal_lift, lift_from_propagator
 from .errors import CrossCheckError, NotCyclicError
-from .hamiltonians import HamiltonianSchedule
-from .obspace import TWO_PI, OrthDecomposition, from_observable, match_columns, wrap_angle
-from .propagation import Propagator
+from .hamiltonians import HamiltonianSchedule, make_quadratic_warp
+from .obspace import (
+    TWO_PI, OrthDecomposition, from_observable, match_columns, random_gauge, wrap_angle
+)
 
 CYCLIC_TOL = 1e-6
 CROSS_TOL = 1e-5
@@ -32,6 +39,16 @@ def circular_distance(a, b):
     return np.minimum(d, TWO_PI - d)
 
 
+def multiset_gap(a, b):
+    """Smallest worst-case circular distance over pairings of the two
+    phase multisets (levels may come back permuted)."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    best = np.inf
+    for perm in itertools.permutations(range(len(b))):
+        best = min(best, float(np.max(circular_distance(a, b[list(perm)]))))
+    return best
+
+
 @dataclass(frozen=True)
 class CyclicityCheck:
     is_cyclic: bool
@@ -41,7 +58,7 @@ class CyclicityCheck:
     frame: OrthDecomposition  # the eigenframe of X0 the thetas were read in
 
 
-def detect_cyclic(p: Propagator, X0, tol=CYCLIC_TOL):
+def detect_cyclic(p: propagation.Propagator, X0, tol=CYCLIC_TOL):
     """Check whether X0 returns to itself under the Heisenberg evolution.
 
     Cyclic means every initial eigenstate is reproduced up to phase by
@@ -130,14 +147,15 @@ class PhaseReport:
 
 
 def geometric_phases(
-    p: Propagator, h: HamiltonianSchedule, X0, tol=CYCLIC_TOL, cross_tol=CROSS_TOL
+    p: propagation.Propagator, h: HamiltonianSchedule, X0, tol=CYCLIC_TOL, cross_tol=CROSS_TOL
 ):
     """Full phase extraction with the holonomy cross-check.
 
     h must be the schedule the propagator was solved from (the dynamical
     integral reuses it; there is no resampling). Raises NotCyclic when
     the observable does not return, and CrossCheck when the two routes
-    to beta disagree beyond cross_tol.
+    to beta disagree beyond cross_tol; a NotCyclicError carries the
+    failed CyclicityCheck as its check.
     """
     cyc = detect_cyclic(p, X0, tol)
     if not cyc.is_cyclic:
@@ -150,7 +168,8 @@ def geometric_phases(
             closure = f"permutation {cyc.permutation}"
         raise NotCyclicError(
             f"observable does not return at T={p.duration:g}: "
-            f"residual {cyc.residual:.3e}, {closure}"
+            f"residual {cyc.residual:.3e}, {closure}",
+            cyc,
         )
     obs = cyc.frame
     gamma = dynamical_phase(h, obs.vectors, p.duration, p.steps + (p.steps % 2))
@@ -184,3 +203,33 @@ def geometric_phases(
         closure_permutation=hol.permutation,
         lift=lift,
     )
+
+
+def _haar_frame(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return OrthDecomposition(q * np.exp(-1j * np.angle(np.diag(r))))
+
+
+def invariance_residuals(p, h, report: PhaseReport, checks, tol=CYCLIC_TOL):
+    """{check: multiset_gap by which report.holonomy_beta moves}, in the order
+    of checks: "reparameterization" re-solves h under the quadratic warp of p's
+    duration and steps, "gauge-start" and "reference-frame" lift p from a random
+    gauge and a Haar frame drawn from one default_rng(0), all from report's frame."""
+    obs = report.lift.reference
+    rng = np.random.default_rng(0)
+    out = {}
+    for check in checks:
+        q, reference, start = p, None, None
+        if check == "reparameterization":
+            # through the module, so that a wrapped propagation.solve sees it
+            q = propagation.solve(make_quadratic_warp(h, p.duration), p.duration, steps=p.steps)
+        elif check == "gauge-start":
+            start = random_gauge(rng, obs.dim).in_frame(obs)
+        elif check == "reference-frame":
+            reference = _haar_frame(rng, obs.dim)
+        else:
+            raise ValueError(f"unknown invariance check {check!r}")
+        hor = horizontal_lift(lift_from_propagator(q, obs, reference=reference, start=start))
+        out[check] = multiset_gap(report.holonomy_beta, holonomy(hor, tol=tol).betas)
+    return out

@@ -804,3 +804,56 @@ def test_a_match_that_is_no_permutation_is_not_called_one(tmp_path, capsys):
     assert "permutation" not in err
     assert "no one-to-one match of the final eigenframe onto the initial one" in err
     assert "(worst alignment 0.000000)" in err
+
+
+# --------------------------------- durations set by a param, and the sweep
+
+
+@pytest.mark.parametrize(
+    "system, params, pointer",
+    [
+        ("constant-field", {"mu_B": 1e-308, "phi": 1.0}, "/params/mu_B"),
+        ("constant-field", {"mu_B": 5e-324, "phi": 1.0}, "/params/mu_B"),
+        ("rotating-field", {"w0": 1.0, "w1": 3.0, "w": 5e-324}, "/params/w"),
+        ("two-loop", {"w0": 1.0, "w1": 3.0, "w": 5e-324}, "/params/w"),
+        # one loop of 2 pi / |w| fits in a float, the double loop does not
+        ("two-loop", {"w0": 1.0, "w1": 3.0, "w": 5e-308}, "/params/w"),
+    ],
+)
+def test_a_duration_that_overflows_is_pointed_at(system, params, pointer, tmp_path, capsys):
+    raw = scenario(system=system, params=params)
+    assert main(["run", write_scenario(tmp_path, raw), "--out", str(tmp_path)]) == 2
+    assert f"error: {pointer}: " in capsys.readouterr().err
+
+
+def test_a_tiny_field_with_a_given_duration_stays_valid():
+    validate_scenario(scenario(params={"mu_B": 5e-324, "phi": 1.0, "T": 1.0}))
+
+
+def test_sweep_rows_get_the_duration_rule(tmp_path, capsys):
+    path = write_scenario(tmp_path, scenario())
+    argv = ["sweep", path, "--param", "mu_B", "--range", "1e-308:1:2", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "error: /params/mu_B: " in capsys.readouterr().err
+
+
+def test_a_sweep_checks_cyclicity_once_per_row(tmp_path, monkeypatch):
+    import obsphase.cli as cli
+    import obsphase.phases as phases
+
+    calls = []
+    original = phases.detect_cyclic
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (cli, phases):
+        monkeypatch.setattr(module, "detect_cyclic", counted)
+    # T from 3 to 4 pi at mu_B = 1: only the last row, two whole turns, is cyclic
+    path = write_scenario(tmp_path, scenario(params={"mu_B": 1.0, "phi": 1.0, "steps": 4096}))
+    argv = ["sweep", path, "--param", "T", "--range", f"3:{4 * np.pi!r}:9", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    rows = (tmp_path / "t-sweep-T.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["not-cyclic"] * 8 + ["ok"]
+    assert len(calls) == len(rows)

@@ -260,6 +260,18 @@ def test_geometric_phases_not_cyclic():
         geometric_phases(p, h, constant_observable(np.pi / 3))
 
 
+def test_not_cyclic_error_carries_the_failed_check():
+    h = make_constant_z(1.0)
+    p = solve(h, 0.7 * TWO_PI, steps=1024)
+    X0 = constant_observable(np.pi / 3)
+    with pytest.raises(NotCyclicError) as err:
+        geometric_phases(p, h, X0)
+    check = err.value.check
+    assert not check.is_cyclic
+    assert check.residual == detect_cyclic(p, X0).residual
+    assert f"residual {check.residual:.3e}," in str(err.value)
+
+
 def test_geometric_phases_cross_check_guard():
     # handing in a schedule that does not match the propagator corrupts
     # the dynamical integral, and the holonomy cross-check catches it
