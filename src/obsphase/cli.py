@@ -147,8 +147,7 @@ def load_scenario(path):
 
 
 def _check_params(params, system):
-    """Check a params object against its system's spec; an integral
-    steps value is stored as an int."""
+    """Check a params object against its system's spec (steps: _check_steps)."""
     spec = _SYSTEMS[system]
     for key, value in params.items():
         _want(
@@ -160,14 +159,6 @@ def _check_params(params, system):
     for key in spec.required:
         _want(key in params, f"/params/{key}", f"required by system {system}")
 
-    if "steps" in params:
-        steps = params["steps"]
-        _want(
-            float(steps).is_integer() and steps >= 8,
-            "/params/steps",
-            "expected an integer >= 8",
-        )
-        params["steps"] = int(steps)
     if spec.nonzero:
         _want(params[spec.nonzero] != 0, f"/params/{spec.nonzero}", "must be nonzero")
         # unless T is given, this param sets the duration: 2pi/|x| per loop
@@ -181,6 +172,9 @@ _MAX_STACK_BYTES = 256 * 2**20
 
 
 def _check_steps(steps, sc):
+    """The step rule for a deck's steps and --steps: an integer >= 8 whose
+    propagator stack fits in 256 MiB at the deck's dimension. Returns an int."""
+    _want(float(steps).is_integer() and steps >= 8, "/params/steps", "expected an integer >= 8")
     dim = sc["_samples"].shape[1] if "_samples" in sc else 2
     limit = _MAX_STACK_BYTES // (16 * dim * dim) - 1
     _want(
@@ -188,6 +182,7 @@ def _check_steps(steps, sc):
         "/params/steps",
         f"the propagator stack must fit in 256 MiB: at most {limit} steps at d = {dim}",
     )
+    return int(steps)
 
 
 def validate_scenario(raw):
@@ -308,7 +303,7 @@ def validate_scenario(raw):
         _want("schedule" not in raw, "/schedule", f"not allowed for system {system}")
         _want("observable" not in raw, "/observable", f"not allowed for system {system}")
     if "steps" in params:
-        _check_steps(params["steps"], sc)
+        params["steps"] = _check_steps(params["steps"], sc)
 
     return sc
 
@@ -576,7 +571,6 @@ def main(argv=None):
     try:
         sc = validate_scenario(load_scenario(args.scenario))
         if args.steps is not None:
-            _want(args.steps >= 8, "/params/steps", "expected an integer >= 8")
             _check_steps(args.steps, sc)
         if args.tol is not None and not (_is_real(args.tol) and args.tol > 0):
             raise ScenarioError("", f"--tol must be positive and finite, got {args.tol:g}")

@@ -19,7 +19,7 @@ from .hamiltonians import make_rotating, make_two_loop
 from .linalg import is_unitary, sigma_x, sigma_z
 from .obspace import TWO_PI, match_columns, wrap_angle
 from .phases import geometric_phases
-from .propagation import solve
+from .propagation import DEFAULT_STEPS, solve
 
 
 @dataclass(frozen=True)
@@ -50,19 +50,20 @@ def two_qubit_gate(spec0: GateSpec, spec1: GateSpec):
     return U
 
 
-def commutes(a: GateSpec, b: GateSpec, tol=1e-9):
-    """Whether the two gates commute: ||[U_a, U_b]||_F <= tol.
+def commutes(a: GateSpec, b: GateSpec):
+    """Whether the two gates commute: ||[U_a, U_b]||_F <= 1e-9.
 
     Analytically this holds iff the tilt angles differ by a multiple of
     pi, or either beta is a multiple of pi.
     """
     Ua, Ub = u_phi_beta(a), u_phi_beta(b)
-    return bool(np.linalg.norm(Ua @ Ub - Ub @ Ua) <= tol)
+    return bool(np.linalg.norm(Ua @ Ub - Ub @ Ua) <= 1e-9)
 
 
-def cnot_equivalence(U, tol=1e-8):
+def cnot_equivalence(U):
     """Whether U = diag(I, e^{i alpha} sigma_x), i.e. a CNOT up to an
-    overall phase on the flipped block. Returns (equivalent, alpha)."""
+    overall phase on the flipped block, with each 2 x 2 block within
+    1e-8 in Frobenius norm. Returns (equivalent, alpha)."""
     U = np.asarray(U, dtype=complex)
     if U.shape != (4, 4):
         raise DimensionMismatchError("cnot_equivalence expects a two-qubit gate")
@@ -72,13 +73,8 @@ def cnot_equivalence(U, tol=1e-8):
         U[2, 3] + U[3, 2]
     ) > 1e-12 else 0.0
     target = np.exp(1j * alpha) * np.array([[0.0, 1.0], [1.0, 0.0]])
-    ok = (
-        np.linalg.norm(U[:2, :2] - np.eye(2)) <= tol
-        and np.linalg.norm(U[:2, 2:]) <= tol
-        and np.linalg.norm(U[2:, :2]) <= tol
-        and np.linalg.norm(U[2:, 2:] - target) <= tol
-    )
-    return bool(ok), alpha
+    blocks = (U[:2, :2] - np.eye(2), U[:2, 2:], U[2:, :2], U[2:, 2:] - target)
+    return all(np.linalg.norm(b) <= 1e-8 for b in blocks), alpha
 
 
 def cyclic_tilt(w0, w1, w):
@@ -110,7 +106,7 @@ def read_two_loop_gate(p, report, phi):
     report's observable frame (the same phase reading detect_cyclic
     uses)."""
     worst = float(np.max(np.abs(report.gamma)))
-    if worst > 1e-6:
+    if not worst <= 1e-6:  # a NaN residual fails too
         raise DynamicalResidualError(
             f"dynamical phases failed to cancel over the double loop "
             f"(worst residual {worst:.3e})"
@@ -127,7 +123,7 @@ def read_two_loop_gate(p, report, phi):
     return gate, GateSpec(phi=float(phi), beta=beta)
 
 
-def two_loop_protocol(w0, w1, w, steps=4096):
+def two_loop_protocol(w0, w1, w, steps=DEFAULT_STEPS):
     """Drive the rotating-field loop and then its time-and-field-reversed
     copy, so every dynamical phase cancels, and read the resulting gate.
 

@@ -44,7 +44,7 @@ class HamiltonianSchedule:
     dim: int
     kind: str
     domain: tuple
-    fn: callable = None
+    fn: callable
     breakpoints: tuple = ()
 
     def eval(self, t):
@@ -213,23 +213,23 @@ def make_tabulated(times, samples):
     )
 
 
-def make_warped(inner, warp, dwarp, duration, breakpoints=()):
+def make_warped(inner, warp, dwarp, duration):
     """Time-reparameterized schedule h_w(u) = warp'(u) * inner(warp(u)).
 
     warp must be a monotone C^1 map [0, duration] -> inner.domain;
     warp and dwarp (its derivative) receive and return arrays of times.
     The propagator of h_w at u then equals the inner propagator at warp(u),
     which is what reparameterization invariance of the geometric phase
-    is about. Jump locations of inner must be supplied as preimages in
-    breakpoints (the natural warps used here are smooth over smooth
-    schedules, so this is rarely needed).
+    is about. inner must have no jumps (ScheduleDomainError otherwise):
+    a warp moves them off every uniform grid.
     """
+    if inner.breakpoints:
+        raise ScheduleDomainError(f"cannot warp a schedule that jumps at t={inner.breakpoints[0]:g}")
     return HamiltonianSchedule(
         dim=inner.dim,
         kind="Warped",
         domain=(0.0, duration),
         fn=lambda u: dwarp(u)[:, None, None] * inner.fn(warp(u)),
-        breakpoints=tuple(breakpoints),
     )
 
 

@@ -61,11 +61,11 @@ def is_unitary(U, tol=1e-8):
 
 
 def normalize(psi):
-    """Return psi / ||psi||. Raises ValueError on (near-)zero input."""
+    """Return psi / ||psi||; ValueError on a (near-)zero or non-finite norm."""
     psi = np.asarray(psi, dtype=complex)
     n = np.linalg.norm(psi)
-    if n < 1e-300:
-        raise ValueError("cannot normalize a zero vector")
+    if not 1e-300 <= n < np.inf:
+        raise ValueError(f"cannot normalize a vector of norm {n:g}")
     return psi / n
 
 
@@ -86,7 +86,7 @@ class EigenDecomposition:
     values    -- eigenvalues, ascending
     vectors   -- orthonormal eigenvectors as columns, vectors[:, n] <-> values[n],
                  each with its largest-magnitude component real positive
-    degenerate -- True when the smallest spectral gap is below gap_tol
+    degenerate -- True unless the smallest gap exceeds GAP_TOL * ||H||_2
     min_gap   -- smallest gap between consecutive eigenvalues (inf for d = 1)
     """
 
@@ -100,22 +100,24 @@ class EigenDecomposition:
         return len(self.values)
 
 
-def hermitian_eig(H, gap_tol=GAP_TOL):
+def hermitian_eig(H):
     """Eigendecomposition of a Hermitian matrix with a fixed convention.
 
-    Eigenvalues are sorted ascending; exact ties are broken by descending
-    magnitude of the first nonzero amplitude of the (phase-fixed)
-    eigenvector. Each eigenvector is rotated so its largest-magnitude
-    component is real positive, which makes the output deterministic.
+    Eigenvalues are sorted ascending; ties, closer than GAP_TOL * ||H||_2,
+    are broken by descending magnitude of the first nonzero amplitude of
+    the (phase-fixed) eigenvector. Each eigenvector is rotated so its
+    largest-magnitude component is real positive. So the output is
+    deterministic, and c H gives the frame and flag of H for every c > 0.
 
-    Raises NotHermitianError unless is_hermitian(H). A spectrum whose
-    smallest gap falls below gap_tol is allowed here and only flagged;
-    callers that need a simple spectrum check the flag.
+    Raises NotHermitianError unless is_hermitian(H). A spectrum with a
+    tie is allowed here and only flagged (degenerate, also for a zero
+    matrix); callers that need a simple spectrum check the flag.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    require_hermitian(H, "matrix")
+    require_hermitian(H, "matrix")  # before the norm, which fails on a NaN
+    gap_tol = GAP_TOL * np.linalg.norm(H, 2)
     values, vectors = np.linalg.eigh(H)
     vectors = np.column_stack([fix_phase(vectors[:, n]) for n in range(len(values))])
 
@@ -139,7 +141,7 @@ def hermitian_eig(H, gap_tol=GAP_TOL):
         k = j
 
     min_gap = float(np.min(np.diff(values))) if len(values) > 1 else np.inf
-    return EigenDecomposition(values, vectors, bool(min_gap < gap_tol), min_gap)
+    return EigenDecomposition(values, vectors, not min_gap > gap_tol, min_gap)
 
 
 def expm_skew(H, s):

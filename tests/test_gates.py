@@ -1,16 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from obsphase.errors import DimensionMismatchError, NotUnitaryError
+from obsphase.errors import DimensionMismatchError, DynamicalResidualError, NotUnitaryError
 from obsphase.gates import (
     GateSpec,
     cnot_equivalence,
     commutes,
+    read_two_loop_gate,
+    rotating_problem,
     two_loop_protocol,
     two_qubit_gate,
     u_phi_beta,
 )
 from obsphase.linalg import sigma_x, sigma_z
+from obsphase.phases import geometric_phases
+from obsphase.propagation import solve
 
 
 def circ_dist(a, b):
@@ -181,3 +187,12 @@ def test_identity_gate_reads_beta_zero_not_two_pi():
     # wraps to just below 2pi unless the library reads it as 0
     _, _, spec = two_loop_protocol(1.0, 3.0, 2.0, steps=8192)
     assert 0.0 <= spec.beta <= 1e-12
+
+
+def test_a_nan_dynamical_phase_fails_the_cancellation_check():
+    h, T, X0, steps = rotating_problem(1.0, 3.0, 2.0, 512, two_loop=True)
+    p = solve(h, T, steps=steps)
+    report = geometric_phases(p, h, X0)
+    read_two_loop_gate(p, report, 0.0)
+    with pytest.raises(DynamicalResidualError, match="worst residual nan"):
+        read_two_loop_gate(p, dataclasses.replace(report, gamma=np.array([np.nan, 0.0])), 0.0)

@@ -16,6 +16,7 @@ from obsphase.hamiltonians import (
     make_rotating,
     make_tabulated,
     make_two_loop,
+    make_warped,
     make_zero,
 )
 from obsphase.linalg import hermitian_eig, is_hermitian, sigma_x, sigma_y, sigma_z
@@ -235,3 +236,11 @@ def test_array_eval_rejects_one_time_outside_the_domain():
     with pytest.raises(ScheduleDomainError):
         h.eval(ts)
 
+
+def test_warps_refuse_a_schedule_with_jumps():
+    # a warp moves the jump at T off every uniform grid of the warped time
+    h = make_two_loop(make_rotating(1.0, 3.0, 2.0), np.pi)
+    with pytest.raises(ScheduleDomainError, match="jumps at t=3.14159"):
+        make_warped(h, lambda u: u, np.ones_like, 2 * np.pi)
+    with pytest.raises(ScheduleDomainError):
+        make_quadratic_warp(h, 2 * np.pi)

@@ -235,3 +235,28 @@ def test_larger_stacks_keep_eigh_and_matmul_bit_for_bit(d):
     A = expm_skew_many(Hs, 0.3)
     assert np.array_equal(matmul_stack(A, A[0]), A @ A[0])
     assert np.array_equal(matmul_stack(A[None], A[:, None]), A[None] @ A[:, None])
+
+
+def test_normalize_refuses_a_nan_vector():
+    # NaN fails every comparison, so a NaN norm must fail the zero test
+    with pytest.raises(ValueError):
+        normalize(np.array([np.nan, 1.0]))
+
+
+def test_eig_flag_and_frame_do_not_depend_on_the_scale():
+    # the tie and degeneracy tolerance is GAP_TOL * ||H||_2, so c H is
+    # read like H: an absolute 1e-9 would cluster every eigenvalue of
+    # 1e-12 H and call it degenerate
+    rng = np.random.default_rng(5)
+    H = random_hermitian(rng, 4)
+    Q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    D = Q @ np.diag([1.0, 1.0, 2.0]) @ Q.conj().T
+    D = (D + D.conj().T) / 2
+    ref = hermitian_eig(H)
+    assert not ref.degenerate
+    for c in 10.0 ** np.arange(-12, 13, 3):
+        dec = hermitian_eig(c * H)
+        assert not dec.degenerate, c
+        assert np.allclose(dec.vectors, ref.vectors, atol=1e-10), c
+        assert hermitian_eig(c * D).degenerate, c
+    assert hermitian_eig(np.zeros((2, 2))).degenerate

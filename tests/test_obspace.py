@@ -16,6 +16,7 @@ from obsphase.errors import (
     NotUnitaryError,
 )
 from obsphase.linalg import sigma_x, sigma_z
+from obsphase.phases import _haar_frame
 from obsphase.obspace import (
     GaugeElement,
     OrthDecomposition,
@@ -458,3 +459,14 @@ def test_distance_at_or_below_the_best_known_values(d):
         D = distance_DW(O, O2)
         assert D <= best + 1e-9, (k, D, best)
         assert D >= _bottleneck_lower_bound(O.vectors.conj().T @ O2.vectors) - 1e-12, k
+
+
+def test_distance_at_d14_refines_from_the_aligned_point():
+    # from d = 14 on the grid holds one point per axis, the arbitrary
+    # theta = 0; refining from there reached 1.7696 on this pair, and the
+    # phase-aligned start alone reaches 1.6796
+    rng = np.random.default_rng(3)
+    O, O2 = _haar_frame(rng, 14), _haar_frame(rng, 14)
+    D = distance_DW(O, O2)
+    assert D < 1.7696340861304944 - 0.05
+    assert D >= _bottleneck_lower_bound(O.vectors.conj().T @ O2.vectors) - 1e-12
