@@ -20,7 +20,7 @@ from .errors import (
     ZeroFieldError,
     ZeroFrequencyError,
 )
-from .linalg import require_hermitian, sigma_x, sigma_y, sigma_z
+from .linalg import require_hermitian, sigma_z
 
 UNBOUNDED = (-np.inf, np.inf)
 
@@ -97,8 +97,24 @@ def make_rotating(w0, w1, w):
         raise ZeroFrequencyError("rotating-field schedule needs w != 0")
 
     def fn(t):
-        wt = w * t[:, None, None]
-        return -0.5 * (w0 * np.cos(wt) * sigma_x + w0 * np.sin(wt) * sigma_y + w1 * sigma_z)
+        # -0.5 S, S = a sigma_x + s sigma_y + w1 sigma_z, written entry by
+        # entry. Each entry of S holds what the complex products and sums
+        # of the Pauli terms leave there, down to the signs of zeros (zero
+        # is the +-0 that a sigma_x + s sigma_y leaves on the diagonal);
+        # -0.5 S is the same complex product, so the floats are the Pauli
+        # sum's bit for bit at a fraction of its cost.
+        wt = w * t
+        a, s = w0 * np.cos(wt), w0 * np.sin(wt)
+        zero = 0.0 * a + 0.0 * s
+        H = np.zeros((len(t), 2, 2), dtype=complex)
+        re, im = H.real, H.imag
+        re[:, 0, 0] = zero + w1
+        re[:, 1, 1] = zero - w1
+        re[:, 1, 0] = a + zero + 0.0 * w1
+        im[:, 1, 0] = s + 0.0
+        re[:, 0, 1] = a + 0.0
+        im[:, 0, 1] = 0.0 - s
+        return np.multiply(-0.5, H, out=H)
 
     return HamiltonianSchedule(
         dim=2,

@@ -119,8 +119,8 @@ def solve(h: HamiltonianSchedule, T, steps=DEFAULT_STEPS):
     grid = np.linspace(0.0, T, steps + 1)
     mids = grid[:-1] + dt / 2
     H_mid = h.eval(mids)
-    finite = np.isfinite(H_mid).all(axis=(1, 2))
-    if not finite.all():
+    if not np.isfinite(H_mid).all():
+        finite = np.isfinite(H_mid).all(axis=(1, 2))
         raise ScheduleDomainError(
             f"schedule is not finite at t={mids[np.argmin(finite)]:g}"
         )

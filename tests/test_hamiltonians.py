@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,31 @@ def rotating_point(w0, w1, w, t):
     return -0.5 * (
         w0 * np.cos(w * t) * sigma_x + w0 * np.sin(w * t) * sigma_y + w1 * sigma_z
     )
+
+
+def rotating_stack(w0, w1, w, ts):
+    """The rotating field's Pauli sum over an array of times, as one
+    broadcast expression."""
+    wt = w * ts[:, None, None]
+    return -0.5 * (w0 * np.cos(wt) * sigma_x + w0 * np.sin(wt) * sigma_y + w1 * sigma_z)
+
+
+# negative, tiny and zero values of w0, w1 and w (w = 0 is refused)
+ROTATING_VALUES = (1.0, -1.0, 3.0, -2.5, 1e-300, -1e-300, 5e-324, 0.0, -0.0)
+
+
+def test_rotating_entries_are_the_pauli_sum_bit_for_bit():
+    # compared as bits, so the signs of zeros count too
+    ts = np.concatenate([[0.0, -0.0, 5e-324, 1e-300], np.linspace(-7.0, 7.0, 61)])
+    for w0, w1, w in itertools.product(ROTATING_VALUES, repeat=3):
+        if w == 0:
+            continue
+        h = make_rotating(w0, w1, w)
+        want = rotating_stack(w0, w1, w, ts).view(np.uint64)
+        assert np.array_equal(h.eval(ts).view(np.uint64), want), (w0, w1, w)
+        for t in (0.0, -0.0, 5e-324, 0.3, -1.7):
+            want = rotating_point(w0, w1, w, t).view(np.uint64)
+            assert np.array_equal(h.eval(t).view(np.uint64), want), (w0, w1, w, t)
 
 
 def tabulated_point(times, samples, t):

@@ -2,9 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obsphase.errors import NotHermitianError
 from obsphase.linalg import (
+    HERMITICITY_TOL,
+    _asymmetry,
     expm_skew,
     expm_skew_many,
     fix_phase,
@@ -15,6 +19,7 @@ from obsphase.linalg import (
     matmul_stack,
     normalize,
     operator_norm,
+    require_hermitian,
     sigma_x,
     sigma_y,
     sigma_z,
@@ -260,3 +265,49 @@ def test_eig_flag_and_frame_do_not_depend_on_the_scale():
         assert np.allclose(dec.vectors, ref.vectors, atol=1e-10), c
         assert hermitian_eig(c * D).degenerate, c
     assert hermitian_eig(np.zeros((2, 2))).degenerate
+
+
+# multiples of the tolerance for the perturbation of one entry, on both
+# sides of the edge, and the values planted in a real or imaginary part
+EDGES = (0.0, 0.5, 1 - 2**-20, 1.0, 1 + 2**-20, 2.0)
+PLANTED = (np.nan, np.inf, -np.inf, 0.0, -0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([2, 2, 3, 4]),
+    n=st.integers(1, 6),
+    exponents=st.lists(st.integers(-300, 300), min_size=6, max_size=6),
+    edges=st.lists(st.sampled_from(EDGES), min_size=6, max_size=6),
+    planted=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 3), st.booleans(), st.sampled_from(PLANTED)),
+        max_size=3,
+    ),
+)
+def test_stack_screen_reads_every_matrix_like_the_generic_rule(seed, d, n, exponents, edges, planted):
+    # d = 2 stacks are screened entry by entry; every verdict, the first
+    # matrix named and its deviation text must be those of the generic
+    # rule applied to one matrix at a time (d = 3 and 4 use that rule)
+    rng = np.random.default_rng(seed)
+    Hs = np.stack([random_hermitian(rng, d) * 10.0 ** exponents[k] for k in range(n)])
+    for k in range(n):
+        i, j = rng.integers(d, size=2)
+        Hs[k, i, j] += edges[k] * HERMITICITY_TOL * np.abs(Hs[k]).max() * rng.choice([1, -1, 1j, -1j])
+    for k, i, j, imaginary, value in planted:
+        part = Hs.imag if imaginary else Hs.real
+        part[k % n, i % d, j % d] = value
+    with np.errstate(all="ignore"):
+        want = [bool(_asymmetry(M) <= HERMITICITY_TOL * np.abs(M).max()) for M in Hs]
+        assert is_hermitian(Hs).tolist() == want
+        if all(want):
+            require_hermitian(Hs, "generator")
+            return
+        k = want.index(False)
+        text = (
+            f"generator {k} is not Hermitian within 1e-10 of its largest entry "
+            f"(deviation {_asymmetry(Hs[k]) / np.abs(Hs[k]).max():.3g})"
+        )
+        with pytest.raises(NotHermitianError) as raised:
+            require_hermitian(Hs, "generator")
+    assert str(raised.value) == text

@@ -8,6 +8,7 @@ from obsphase.errors import (
     ScheduleDomainError,
 )
 from obsphase.hamiltonians import (
+    HamiltonianSchedule,
     make_constant_z,
     make_rotating,
     make_tabulated,
@@ -240,6 +241,25 @@ def test_non_finite_schedule_samples_are_refused():
     nan_tail = make_warped(h, lambda u: u, lambda u: np.where(u > 1.0, np.nan, 1.0), T)
     with pytest.raises(ScheduleDomainError, match=r"not finite at t=1\.006"):
         solve(nan_tail, T, steps=64)
+
+
+@pytest.mark.parametrize("value", [complex(0.0, np.inf), complex(0.0, -np.inf), complex(0.0, np.nan)])
+@pytest.mark.parametrize(
+    "planted, named", [((37,), "1.84078"), ((63, 0), "0.0245437"), ((63,), "3.11705"), ((37, 12), "0.613592")]
+)
+def test_a_non_finite_imaginary_part_alone_is_refused(value, planted, named):
+    # the stack passes the screen only when all of it is finite; the
+    # message names the first midpoint that is not
+    h, T = make_rotating(1.0, 3.0, 2.0), np.pi
+
+    def fn(t):
+        H = h.fn(t)
+        H[list(planted), 0, 1] = value  # the 64 midpoints come in one call
+        return H
+
+    planted_h = HamiltonianSchedule(dim=2, kind="RotatingField", domain=h.domain, fn=fn)
+    with pytest.raises(ScheduleDomainError, match=rf"not finite at t={named}$"):
+        solve(planted_h, T, steps=64)
 
 
 def test_qubit_solves_call_no_eigh(monkeypatch):
