@@ -30,39 +30,28 @@ from .linalg import (
     hermitian_eig,
     is_hermitian,
     is_unitary,
-    normalize,
-    operator_norm,
     sigma_x,
     sigma_y,
     sigma_z,
 )
 from .hamiltonians import (
     HamiltonianSchedule,
-    make_block_two_qubit,
     make_constant_z,
     make_quadratic_warp,
-    make_reversed,
     make_rotating,
     make_tabulated,
     make_two_loop,
     make_warped,
-    make_zero,
 )
 from .propagation import (
     DEFAULT_STEPS,
     Propagator,
     closed_form_rotating,
-    exact_constant_propagator,
-    exact_rotating_propagator,
-    heisenberg_evolve,
-    inverse_at,
     solve,
 )
 from .obspace import (
     GaugeElement,
     OrthDecomposition,
-    bloch_chart,
-    decompositions_equal,
     distance_DW,
     fiber_contains,
     from_observable,
@@ -73,7 +62,6 @@ from .obspace import (
 from .bundle import (
     HolonomyResult,
     LiftCurve,
-    connection_eval,
     holonomy,
     horizontal_lift,
     lift_from_propagator,

@@ -33,8 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotClosedError, NotUnitaryError
-from .linalg import is_unitary, matmul_stack
+from .errors import NotClosedError
+from .linalg import matmul_stack
 from .obspace import OrthDecomposition, fiber_contains, match_columns, wrap_angle
 from .propagation import Propagator
 
@@ -73,25 +73,6 @@ class LiftCurve:
         moved = matmul_stack(np.conj(np.swapaxes(U, 1, 2)), self.frame)
         moved *= np.exp(1j * self.gauge)[:, None, :]
         return matmul_stack(moved, self.reference.vectors.conj().T)
-
-    def base_at(self, k):
-        """The projected decomposition at grid[k]."""
-        return OrthDecomposition(self.unitaries[k] @ self.reference.vectors)
-
-
-def connection_eval(P, Q, O0: OrthDecomposition):
-    """The canonical connection: the O0-diagonal part of P^{-1} Q,
-
-        sum_n <f_n|P^dag Q|f_n> |f_n><f_n|.
-
-    Vertical arguments Q = P D (D frame-diagonal) reproduce D.
-    """
-    P = np.asarray(P, dtype=complex)
-    if not is_unitary(P):
-        raise NotUnitaryError("connection base point must be unitary")
-    F = O0.vectors
-    c = np.einsum("in,ij,jn->n", F.conj(), P.conj().T @ np.asarray(Q, complex), F)
-    return (F * c[None, :]) @ F.conj().T
 
 
 def lift_from_propagator(

@@ -4,8 +4,8 @@ A schedule is a closed object mapping times to Hermitian matrices, so
 that integrators can choose their own grids. It is evaluated on arrays:
 fn takes n times and returns the (n, d, d) stack, so a whole grid is
 sampled in one call. Preset factories cover the constant and rotating
-qubit fields, and combinators build the reversed and two-loop protocols
-from any inner schedule.
+qubit fields and tabulated samples, and combinators build the two-loop
+protocol and time warps from any inner schedule.
 
 Conventions: only the products omega_i = mu*B_i enter (mu and B are
 never stored separately); all frequencies in rad/time.
@@ -32,8 +32,8 @@ _EDGE = 1e-12
 class HamiltonianSchedule:
     """A piecewise-smooth map t -> Hermitian (dim, dim) matrix.
 
-    kind       -- one of Constant, RotatingField, Reversed, TwoLoop,
-                  BlockDiag, Tabulated, Warped
+    kind       -- one of Constant, RotatingField, TwoLoop, Tabulated,
+                  Warped
     domain     -- (t_start, t_end); evaluation outside raises
     fn         -- takes a 1-d array of n times inside the domain and
                   returns the (n, dim, dim) stack of matrices
@@ -124,20 +124,6 @@ def make_rotating(w0, w1, w):
     )
 
 
-def make_reversed(inner, T):
-    """Time- and field-reversed copy: eval(t) = -inner.eval(T - t) on [0, T]."""
-    lo, hi = inner.domain
-    if lo > 0 or hi < T:
-        raise ScheduleDomainError("inner schedule does not cover [0, T]")
-    return HamiltonianSchedule(
-        dim=inner.dim,
-        kind="Reversed",
-        domain=(0.0, T),
-        fn=lambda t: -inner.fn(T - t),
-        breakpoints=tuple(sorted(T - b for b in inner.breakpoints if 0 < T - b < T)),
-    )
-
-
 def make_two_loop(inner, T):
     """First traverse inner over [0, T], then its reversed copy on [T, 2T]:
 
@@ -165,33 +151,6 @@ def make_two_loop(inner, T):
         domain=(0.0, 2 * T),
         fn=fn,
         breakpoints=tuple(bps),
-    )
-
-
-def make_block_two_qubit(h0, h1):
-    """Block-diagonal two-qubit schedule diag(h0(t), h1(t)).
-
-    Basis order |00>, |01>, |10>, |11>: h0 drives the target when the
-    control is |0>, h1 when it is |1>.
-    """
-    if h0.dim != 2 or h1.dim != 2:
-        raise DimensionMismatchError("both blocks must be single-qubit schedules")
-    lo = max(h0.domain[0], h1.domain[0])
-    hi = min(h0.domain[1], h1.domain[1])
-
-    def fn(t):
-        H = np.zeros((len(t), 4, 4), dtype=complex)
-        H[:, :2, :2] = h0.fn(t)
-        H[:, 2:, 2:] = h1.fn(t)
-        return H
-
-    bps = sorted(set(h0.breakpoints) | set(h1.breakpoints))
-    return HamiltonianSchedule(
-        dim=4,
-        kind="BlockDiag",
-        domain=(lo, hi),
-        fn=fn,
-        breakpoints=tuple(b for b in bps if lo < b < hi),
     )
 
 
@@ -253,13 +212,3 @@ def make_quadratic_warp(inner, T):
     """Quadratic time warp of inner over [0, T]: s(u) = u^2 / T, written
     as T (u/T)^2 so that u^2 cannot overflow for a T near the float range."""
     return make_warped(inner, lambda u: T * (u / T) ** 2, lambda u: 2 * (u / T), T)
-
-
-def make_zero(dim):
-    """The zero schedule (free evolution), defined for all t."""
-    return HamiltonianSchedule(
-        dim=dim,
-        kind="Constant",
-        domain=UNBOUNDED,
-        fn=lambda t: np.zeros((len(t), dim, dim), dtype=complex),
-    )

@@ -33,16 +33,19 @@ _AMP_EPS = 1e-12
 def is_hermitian(H, tol=HERMITICITY_TOL):
     """True iff max|H - H^dagger| <= tol * max|H| over the entries: the
     package's one Hermiticity test. c H passes iff H does (c > 0), a NaN
-    fails, and a stack over the last two axes gives one bool per matrix."""
+    fails, and a stack over the last two axes gives one bool per matrix.
+    Where H - H^dagger meets inf - inf the deviation is NaN, which
+    fails without a numpy warning."""
     H = np.asarray(H, dtype=complex)
     if H.ndim > 2 and H.shape[-2:] == (2, 2):
         # the entries of |H - H^dagger| (its (0, 1) entry equals its (1, 0)
         # one) and of |H|, maximized as four 1-d arrays: a reduction over
         # the two small trailing axes costs several times this arithmetic
         h00, h01, h10, h11 = H[..., 0, 0], H[..., 0, 1], H[..., 1, 0], H[..., 1, 1]
-        asymmetry = np.maximum(
-            np.maximum(np.abs(h00 - h00.conj()), np.abs(h11 - h11.conj())), np.abs(h10 - h01.conj())
-        )
+        with np.errstate(invalid="ignore"):
+            asymmetry = np.maximum(
+                np.maximum(np.abs(h00 - h00.conj()), np.abs(h11 - h11.conj())), np.abs(h10 - h01.conj())
+            )
         scale = np.maximum(np.maximum(np.abs(h00), np.abs(h01)), np.maximum(np.abs(h10), np.abs(h11)))
         return asymmetry <= tol * scale
     ok = _asymmetry(H) <= tol * np.abs(H).max(axis=(-2, -1))
@@ -50,7 +53,8 @@ def is_hermitian(H, tol=HERMITICITY_TOL):
 
 
 def _asymmetry(H):
-    return np.abs(H - np.swapaxes(H, -1, -2).conj()).max(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN, which fails every comparison
+        return np.abs(H - np.swapaxes(H, -1, -2).conj()).max(axis=(-2, -1))
 
 
 def require_hermitian(H, what):
@@ -72,15 +76,6 @@ def is_unitary(U, tol=1e-8):
     U = np.asarray(U, dtype=complex)
     d = U.shape[0]
     return bool(np.linalg.norm(U.conj().T @ U - np.eye(d)) <= tol)
-
-
-def normalize(psi):
-    """Return psi / ||psi||; ValueError on a (near-)zero or non-finite norm."""
-    psi = np.asarray(psi, dtype=complex)
-    n = np.linalg.norm(psi)
-    if not 1e-300 <= n < np.inf:
-        raise ValueError(f"cannot normalize a vector of norm {n:g}")
-    return psi / n
 
 
 def fix_phase(v):
@@ -209,10 +204,3 @@ def matmul_stack(A, B):
     if A.shape[-2:] != (2, 2) or B.shape[-2:] != (2, 2):
         return A @ B
     return A[..., :, 0, None] * B[..., None, 0, :] + A[..., :, 1, None] * B[..., None, 1, :]
-
-
-def operator_norm(A):
-    """Largest singular value of A, computed as sqrt(max eig(A^dagger A))."""
-    A = np.asarray(A, dtype=complex)
-    ev = np.linalg.eigvalsh(A.conj().T @ A)
-    return float(np.sqrt(max(ev[-1], 0.0)))

@@ -1,6 +1,6 @@
 """The observable space: complete orthonormal decompositions, the gauge
-group of a reference decomposition, fiber membership, the distance
-between decompositions, and the Bloch chart for qubits.
+group of a reference decomposition, fiber membership and the distance
+between decompositions.
 
 A decomposition is stored as an orthonormal frame (matrix of column
 vectors), but its identity is the unordered set of rank-1 projectors:
@@ -19,7 +19,7 @@ from .errors import (
     NotGaugeError,
     NotUnitaryError,
 )
-from .linalg import GAP_TOL, hermitian_eig, is_unitary, sigma_x, sigma_y, sigma_z
+from .linalg import GAP_TOL, hermitian_eig, is_unitary
 
 TWO_PI = 2 * np.pi
 
@@ -90,15 +90,6 @@ def match_columns(M, tol):
     amps = np.abs(M[perm, np.arange(M.shape[1])])
     ok = bool(len(set(perm.tolist())) == M.shape[1] and np.all(amps >= 1 - tol))
     return perm, amps, ok
-
-
-def decompositions_equal(a: OrthDecomposition, b: OrthDecomposition):
-    """Projector-set equality: same unordered projectors, each matched
-    overlap amplitude at least 1 - 1e-8."""
-    if a.dim != b.dim:
-        return False
-    _, _, ok = match_columns(b.vectors.conj().T @ a.vectors, 1e-8)
-    return ok
 
 
 @dataclass(frozen=True)
@@ -339,23 +330,3 @@ def distance_DW(O: OrthDecomposition, O2: OrthDecomposition):
             break
         best = min(best, _min_over_phases(A[:, list(sigma)], grid_points, bound))
     return best
-
-
-def bloch_chart(O: OrthDecomposition):
-    """Bloch-sphere chart of a qubit decomposition.
-
-    Returns the axis n with |+n><+n|, |-n><-n| the two projectors, as
-    the representative with n_z >= 0 (ties: n_x >= 0, then n_y >= 0),
-    realizing the quotient of the sphere by the antipodal map.
-    """
-    if O.dim != 2:
-        raise DimensionMismatchError("the Bloch chart needs dim 2")
-    P = O.projector(0)
-    n = np.array(
-        [np.real(np.trace(sigma_x @ P)), np.real(np.trace(sigma_y @ P)),
-         np.real(np.trace(sigma_z @ P))]
-    )
-    eps = 1e-12
-    if n[2] < -eps or (abs(n[2]) <= eps and (n[0] < -eps or (abs(n[0]) <= eps and n[1] < 0))):
-        n = -n
-    return n

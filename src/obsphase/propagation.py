@@ -10,17 +10,17 @@ which is exactly unitary per step, so no re-orthogonalization policy is
 needed; the global error is O(dt^2). U(0, t) is always the adjoint of
 U(t, 0), never separately integrated.
 
-The schedule is sampled at all midpoints in one call, and a solved
-propagator keeps the step unitaries S_k = U_{k+1} U_k^dag, which is all
-the phase extraction reads: the holonomy comes from <f_n|S_k|f_n> in the
+The schedule is sampled at all midpoints in one call, and a propagator
+is held as its step unitaries S_k = U_{k+1} U_k^dag, which is all the
+phase extraction reads: the holonomy comes from <f_n|S_k|f_n> in the
 initial frame (see obsphase.bundle), and the cyclicity check from U(T, 0)
 alone. The running products U_k are a blocked prefix product (Blelloch
 1990, "Prefix sums and their applications"): the steps are cut into
 about sqrt(N) blocks of about sqrt(N) steps, the prefixes inside every
 block are built at once, the block totals are chained, and each block's
 prefixes are applied to its incoming product. That is about 2 sqrt(N)
-batched matrix products instead of N single ones. solve runs the first
-two stages, and Propagator.final() reads U(T, 0) off them: the same
+batched matrix products instead of N single ones. A Propagator runs the
+first two stages when built, and final() reads U(T, 0) off them: the same
 floats as the last running product. The third stage, which writes the
 stack of N + 1 unitaries, runs only on first access to
 Propagator.unitaries. For qubits the step exponentials take a closed
@@ -37,32 +37,24 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ScheduleDomainError
+from .errors import ScheduleDomainError
 from .hamiltonians import HamiltonianSchedule
-from .linalg import expm_skew, expm_skew_many, matmul_stack, require_hermitian, sigma_x, sigma_z
+from .linalg import expm_skew, expm_skew_many, matmul_stack, sigma_x, sigma_z
 
 DEFAULT_STEPS = 4096
 
 
 class Propagator:
-    """Sampled family U(t_k, 0) on a uniform grid t_0 = 0 ... t_N = T.
-
-    Built from the N step unitaries S_k = U_{k+1} U_k^dag (solve), with
-    the first two stages of their blocked prefix product, or from the
-    N + 1 unitaries themselves (the exact_* samplers); the other stack
-    is derived on first access and kept.
+    """Sampled family U(t_k, 0) on a uniform grid t_0 = 0 ... t_N = T,
+    built from the N step unitaries S_k = U_{k+1} U_k^dag that solve
+    produces, with the first two stages of their blocked prefix product.
     """
 
-    def __init__(self, grid, *, step_unitaries=None, unitaries=None):
-        if (step_unitaries is None) == (unitaries is None):
-            raise ValueError("give either the step unitaries or the unitaries")
+    def __init__(self, grid, step_unitaries):
         self.grid = grid
-        if unitaries is None:
-            self.step_unitaries = step_unitaries
-            self._blocks = _block_prefixes(step_unitaries)
-        else:
-            self.unitaries = unitaries
-        self.dim = (step_unitaries if unitaries is None else unitaries).shape[1]
+        self.step_unitaries = step_unitaries
+        self.dim = step_unitaries.shape[1]
+        self._blocks = _block_prefixes(step_unitaries)
 
     @property
     def steps(self):
@@ -76,18 +68,8 @@ class Propagator:
     def unitaries(self):
         return _prefix_products(*self._blocks, self.steps)
 
-    @cached_property
-    def step_unitaries(self):
-        U = self.unitaries
-        return matmul_stack(U[1:], np.conj(np.swapaxes(U[:-1], 1, 2)))
-
-    def at(self, k):
-        return self.unitaries[k]
-
     def final(self):
         """U(T, 0): the same floats as unitaries[-1], without forming them."""
-        if "unitaries" in self.__dict__:
-            return self.unitaries[-1]
         local, incoming = self._blocks
         b, j = divmod(self.steps - 1, local.shape[1])
         return matmul_stack(local[b, j], incoming[b])
@@ -124,7 +106,7 @@ def solve(h: HamiltonianSchedule, T, steps=DEFAULT_STEPS):
         raise ScheduleDomainError(
             f"schedule is not finite at t={mids[np.argmin(finite)]:g}"
         )
-    return Propagator(grid, step_unitaries=expm_skew_many(H_mid, dt))
+    return Propagator(grid, expm_skew_many(H_mid, dt))
 
 
 def _block_prefixes(S):
@@ -166,39 +148,3 @@ def closed_form_rotating(w0, w1, w, t):
     """
     H = -0.5 * w0 * sigma_x - 0.5 * (w1 + w) * sigma_z
     return expm_skew(sigma_z, w * t / 2) @ expm_skew(H, t)
-
-
-def exact_rotating_propagator(w0, w1, w, T, steps=DEFAULT_STEPS):
-    """Propagator sampled from the rotating-field closed form."""
-    grid = np.linspace(0.0, T, steps + 1)
-    unitaries = np.stack([closed_form_rotating(w0, w1, w, t) for t in grid])
-    return Propagator(grid, unitaries=unitaries)
-
-
-def exact_constant_propagator(mu_B, T, steps=DEFAULT_STEPS):
-    """Propagator of h = -(mu_B/2) sigma_z: U(t, 0) = exp(i mu_B t sigma_z / 2)."""
-    grid = np.linspace(0.0, T, steps + 1)
-    ph = np.exp(1j * mu_B * grid / 2)
-    unitaries = np.zeros((steps + 1, 2, 2), dtype=complex)
-    unitaries[:, 0, 0] = ph
-    unitaries[:, 1, 1] = ph.conj()
-    return Propagator(grid, unitaries=unitaries)
-
-
-def inverse_at(p: Propagator, k):
-    """U(0, t_k) = U(t_k, 0)^{-1}, i.e. the adjoint."""
-    if not 0 <= k <= p.steps:
-        raise IndexError(f"grid index {k} outside 0..{p.steps}")
-    return p.unitaries[k].conj().T
-
-
-def heisenberg_evolve(p: Propagator, X0, k):
-    """Heisenberg evolution X(t_k) = U(0, t_k) X0 U(t_k, 0)."""
-    X0 = np.asarray(X0, dtype=complex)
-    if X0.shape != (p.dim, p.dim):
-        raise DimensionMismatchError(
-            f"observable shape {X0.shape} does not match dim {p.dim}"
-        )
-    require_hermitian(X0, "initial observable")
-    U = p.unitaries[k]
-    return U.conj().T @ X0 @ U

@@ -1,0 +1,188 @@
+"""Helpers that only the tests call: closed-form propagators, a few
+schedules and the paper's objects that the pipeline never evaluates
+(the canonical connection, the Heisenberg evolution, projector-set
+equality and the Bloch chart). Not collected: the name has no test_
+prefix.
+"""
+
+import numpy as np
+
+from obsphase.errors import DimensionMismatchError, NotUnitaryError, ScheduleDomainError
+from obsphase.hamiltonians import UNBOUNDED, HamiltonianSchedule
+from obsphase.linalg import is_unitary, matmul_stack, require_hermitian, sigma_x, sigma_y, sigma_z
+from obsphase.obspace import OrthDecomposition, match_columns
+from obsphase.propagation import Propagator, closed_form_rotating
+
+
+def haar_frame(rng, d=2):
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    Q, R = np.linalg.qr(A)
+    lam = np.diag(R) / np.abs(np.diag(R))
+    return OrthDecomposition(Q * lam[None, :])
+
+
+# -- propagators ---------------------------------------------------------------
+
+
+def _from_unitaries(grid, U):
+    """The Propagator whose steps S_k = U_{k+1} U_k^dag carry U_0 = I
+    through the given unitaries."""
+    return Propagator(grid, matmul_stack(U[1:], np.conj(np.swapaxes(U[:-1], 1, 2))))
+
+
+def exact_rotating_propagator(w0, w1, w, T, steps):
+    """Propagator whose steps are those of the rotating-field closed form."""
+    grid = np.linspace(0.0, T, steps + 1)
+    return _from_unitaries(grid, np.stack([closed_form_rotating(w0, w1, w, t) for t in grid]))
+
+
+def exact_constant_propagator(mu_B, T, steps):
+    """Propagator of h = -(mu_B/2) sigma_z from the closed form
+    U(t, 0) = exp(i mu_B t sigma_z / 2)."""
+    grid = np.linspace(0.0, T, steps + 1)
+    ph = np.exp(1j * mu_B * grid / 2)
+    unitaries = np.zeros((steps + 1, 2, 2), dtype=complex)
+    unitaries[:, 0, 0] = ph
+    unitaries[:, 1, 1] = ph.conj()
+    return _from_unitaries(grid, unitaries)
+
+
+def inverse_at(p: Propagator, k):
+    """U(0, t_k) = U(t_k, 0)^{-1}, i.e. the adjoint."""
+    if not 0 <= k <= p.steps:
+        raise IndexError(f"grid index {k} outside 0..{p.steps}")
+    return p.unitaries[k].conj().T
+
+
+def heisenberg_evolve(p: Propagator, X0, k):
+    """Heisenberg evolution X(t_k) = U(0, t_k) X0 U(t_k, 0)."""
+    X0 = np.asarray(X0, dtype=complex)
+    if X0.shape != (p.dim, p.dim):
+        raise DimensionMismatchError(
+            f"observable shape {X0.shape} does not match dim {p.dim}"
+        )
+    require_hermitian(X0, "initial observable")
+    U = p.unitaries[k]
+    return U.conj().T @ X0 @ U
+
+
+# -- schedules -----------------------------------------------------------------
+
+
+def make_zero(dim):
+    """The zero schedule (free evolution), defined for all t."""
+    return HamiltonianSchedule(
+        dim=dim,
+        kind="Constant",
+        domain=UNBOUNDED,
+        fn=lambda t: np.zeros((len(t), dim, dim), dtype=complex),
+    )
+
+
+def make_reversed(inner, T):
+    """Time- and field-reversed copy: eval(t) = -inner.eval(T - t) on [0, T]."""
+    lo, hi = inner.domain
+    if lo > 0 or hi < T:
+        raise ScheduleDomainError("inner schedule does not cover [0, T]")
+    return HamiltonianSchedule(
+        dim=inner.dim,
+        kind="Reversed",
+        domain=(0.0, T),
+        fn=lambda t: -inner.fn(T - t),
+        breakpoints=tuple(sorted(T - b for b in inner.breakpoints if 0 < T - b < T)),
+    )
+
+
+def make_block_two_qubit(h0, h1):
+    """Block-diagonal two-qubit schedule diag(h0(t), h1(t)).
+
+    Basis order |00>, |01>, |10>, |11>: h0 drives the target when the
+    control is |0>, h1 when it is |1>.
+    """
+    if h0.dim != 2 or h1.dim != 2:
+        raise DimensionMismatchError("both blocks must be single-qubit schedules")
+    lo = max(h0.domain[0], h1.domain[0])
+    hi = min(h0.domain[1], h1.domain[1])
+
+    def fn(t):
+        H = np.zeros((len(t), 4, 4), dtype=complex)
+        H[:, :2, :2] = h0.fn(t)
+        H[:, 2:, 2:] = h1.fn(t)
+        return H
+
+    bps = sorted(set(h0.breakpoints) | set(h1.breakpoints))
+    return HamiltonianSchedule(
+        dim=4,
+        kind="BlockDiag",
+        domain=(lo, hi),
+        fn=fn,
+        breakpoints=tuple(b for b in bps if lo < b < hi),
+    )
+
+
+# -- linear algebra and the observable space -----------------------------------
+
+
+def operator_norm(A):
+    """Largest singular value of A, computed as sqrt(max eig(A^dagger A))."""
+    A = np.asarray(A, dtype=complex)
+    ev = np.linalg.eigvalsh(A.conj().T @ A)
+    return float(np.sqrt(max(ev[-1], 0.0)))
+
+
+def normalize(psi):
+    """Return psi / ||psi||; ValueError on a (near-)zero or non-finite norm."""
+    psi = np.asarray(psi, dtype=complex)
+    n = np.linalg.norm(psi)
+    if not 1e-300 <= n < np.inf:
+        raise ValueError(f"cannot normalize a vector of norm {n:g}")
+    return psi / n
+
+
+def connection_eval(P, Q, O0: OrthDecomposition):
+    """The canonical connection: the O0-diagonal part of P^{-1} Q,
+
+        sum_n <f_n|P^dag Q|f_n> |f_n><f_n|.
+
+    Vertical arguments Q = P D (D frame-diagonal) reproduce D.
+    """
+    P = np.asarray(P, dtype=complex)
+    if not is_unitary(P):
+        raise NotUnitaryError("connection base point must be unitary")
+    F = O0.vectors
+    c = np.einsum("in,ij,jn->n", F.conj(), P.conj().T @ np.asarray(Q, complex), F)
+    return (F * c[None, :]) @ F.conj().T
+
+
+def base_at(lift, k):
+    """The decomposition that a lift projects to at grid[k]."""
+    return OrthDecomposition(lift.unitaries[k] @ lift.reference.vectors)
+
+
+def decompositions_equal(a: OrthDecomposition, b: OrthDecomposition):
+    """Projector-set equality: same unordered projectors, each matched
+    overlap amplitude at least 1 - 1e-8."""
+    if a.dim != b.dim:
+        return False
+    _, _, ok = match_columns(b.vectors.conj().T @ a.vectors, 1e-8)
+    return ok
+
+
+def bloch_chart(O: OrthDecomposition):
+    """Bloch-sphere chart of a qubit decomposition.
+
+    Returns the axis n with |+n><+n|, |-n><-n| the two projectors, as
+    the representative with n_z >= 0 (ties: n_x >= 0, then n_y >= 0),
+    realizing the quotient of the sphere by the antipodal map.
+    """
+    if O.dim != 2:
+        raise DimensionMismatchError("the Bloch chart needs dim 2")
+    P = O.projector(0)
+    n = np.array(
+        [np.real(np.trace(sigma_x @ P)), np.real(np.trace(sigma_y @ P)),
+         np.real(np.trace(sigma_z @ P))]
+    )
+    eps = 1e-12
+    if n[2] < -eps or (abs(n[2]) <= eps and (n[0] < -eps or (abs(n[0]) <= eps and n[1] < 0))):
+        n = -n
+    return n

@@ -3,13 +3,12 @@ import pytest
 import scipy.integrate
 
 from obsphase.bundle import (
-    connection_eval,
     holonomy,
     horizontal_lift,
     lift_from_propagator,
 )
 from obsphase.errors import NotClosedError, NotUnitaryError
-from obsphase.hamiltonians import make_quadratic_warp, make_rotating, make_tabulated, make_zero
+from obsphase.hamiltonians import make_quadratic_warp, make_rotating, make_tabulated
 from obsphase.linalg import sigma_x, sigma_z
 from obsphase.obspace import (
     OrthDecomposition,
@@ -17,10 +16,14 @@ from obsphase.obspace import (
     from_observable,
     random_gauge,
 )
-from obsphase.propagation import (
+from obsphase.propagation import solve
+from support import (
+    base_at,
+    connection_eval,
     exact_constant_propagator,
     exact_rotating_propagator,
-    solve,
+    haar_frame,
+    make_zero,
 )
 
 TWO_PI = 2 * np.pi
@@ -29,12 +32,6 @@ TWO_PI = 2 * np.pi
 def half_angle_frame(phi):
     c, s = np.cos(phi / 2), np.sin(phi / 2)
     return OrthDecomposition(np.array([[c, -s], [s, c]], dtype=complex))
-
-
-def haar_frame(rng, d=2):
-    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    Q, R = np.linalg.qr(A)
-    return OrthDecomposition(Q * (np.diag(R) / np.abs(np.diag(R)))[None, :])
 
 
 def circ_dist(a, b):
@@ -97,12 +94,12 @@ def test_lift_constant_field_base_curve():
     assert np.allclose(lift.unitaries[0], np.eye(2), atol=1e-12)
     for k in (0, 37, 128):
         t = p.grid[k]
-        P0 = lift.base_at(k).projector(0)
+        P0 = base_at(lift, k).projector(0)
         # the projected curve keeps diagonal entries and rotates the
         # off-diagonal at the field frequency
         assert abs(P0[0, 0] - np.cos(phi / 2) ** 2) < 1e-12
         assert abs(P0[0, 1] - 0.5 * np.sin(phi) * np.exp(-1j * t)) < 1e-12
-        assert fiber_contains(lift.unitaries[k], lift.base_at(k), obs)
+        assert fiber_contains(lift.unitaries[k], base_at(lift, k), obs)
 
 
 def test_lift_zero_schedule_constant():
@@ -190,6 +187,17 @@ def test_holonomy_constant_field():
         assert res.permutation == (0, 1)
         assert circ_dist(res.betas[0], np.pi * (1 + np.cos(phi))) < 1e-6
         assert circ_dist(res.betas[1], np.pi * (1 - np.cos(phi))) < 1e-6
+
+
+def test_holonomy_floor_admits_the_rounding_of_a_long_lift():
+    # at 32768 steps the closing alignment falls short of 1 by 4.7e-13, a
+    # rounding error; a tol below it is read as the 1e-9 floor
+    w0, w1, w = 1.0, 3.0, 2.0
+    p = solve(make_rotating(w0, w1, w), np.pi, steps=32768)
+    hor = horizontal_lift(lift_from_propagator(p, from_observable(rotating_observable(w0, w1, w)[0])))
+    res = holonomy(hor, tol=1e-15)
+    assert res.permutation == (0, 1)
+    assert 1e-15 < 1 - res.min_alignment < 1e-9
 
 
 def test_holonomy_rotating_field():

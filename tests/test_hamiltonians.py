@@ -11,17 +11,15 @@ from obsphase.errors import (
     ZeroFrequencyError,
 )
 from obsphase.hamiltonians import (
-    make_block_two_qubit,
     make_constant_z,
     make_quadratic_warp,
-    make_reversed,
     make_rotating,
     make_tabulated,
     make_two_loop,
     make_warped,
-    make_zero,
 )
 from obsphase.linalg import hermitian_eig, is_hermitian, sigma_x, sigma_y, sigma_z
+from support import make_block_two_qubit, make_reversed, make_zero
 
 
 def test_constant_z_values():
@@ -135,6 +133,16 @@ def test_tabulated_interpolation():
         make_tabulated([0.0, 1.0], [np.array([[0.0, 1.0], [0.0, 0.0]])] * 2)
     with pytest.raises(ValueError):
         make_tabulated([0.0, 0.0], [np.eye(2)] * 2)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_an_infinite_sample_is_not_hermitian(d):
+    # inf - inf in H - H^dagger is a NaN deviation: it fails the test
+    # without a numpy warning, which the suite turns into an error
+    sample = np.eye(d, dtype=complex)
+    sample[0, 0] = np.inf
+    with pytest.raises(NotHermitianError, match=r"sample 0 .*\(deviation nan\)"):
+        make_tabulated([0.0, 1.0], [sample, np.eye(d)])
 
 
 def test_warped_quadratic():

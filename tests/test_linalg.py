@@ -17,13 +17,12 @@ from obsphase.linalg import (
     is_hermitian,
     is_unitary,
     matmul_stack,
-    normalize,
-    operator_norm,
     require_hermitian,
     sigma_x,
     sigma_y,
     sigma_z,
 )
+from support import normalize, operator_norm
 
 
 def random_hermitian(rng, d):

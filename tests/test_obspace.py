@@ -20,8 +20,6 @@ from obsphase.phases import _haar_frame
 from obsphase.obspace import (
     GaugeElement,
     OrthDecomposition,
-    bloch_chart,
-    decompositions_equal,
     distance_DW,
     fiber_contains,
     from_observable,
@@ -29,13 +27,7 @@ from obsphase.obspace import (
     match_columns,
     random_gauge,
 )
-
-
-def haar_frame(rng, d=2):
-    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    Q, R = np.linalg.qr(A)
-    lam = np.diag(R) / np.abs(np.diag(R))
-    return OrthDecomposition(Q * lam[None, :])
+from support import bloch_chart, decompositions_equal, haar_frame
 
 
 def half_angle_frame(phi):

@@ -1,5 +1,6 @@
 """The installed surface: a cheap import and the demo scripts."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -49,3 +50,34 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _names_used(path):
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_exported_name_has_a_caller_besides_the_unit_tests():
+    # the package exports what the pipeline, the demos, the benchmark and
+    # the acceptance tests use; a name that only the other tests call
+    # lives in tests/support.py
+    package = ROOT / "src" / "obsphase"
+    init = package / "__init__.py"
+    exported = {
+        alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    callers = [p for p in package.glob("*.py") if p != init]
+    callers += [*(ROOT / "demos").rglob("*.py"), *(ROOT / "benchmark").rglob("*.py")]
+    callers.append(ROOT / "tests" / "test_acceptance.py")
+    used = set().union(*map(_names_used, callers))
+    assert sorted(exported - used) == []

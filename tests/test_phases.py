@@ -20,9 +20,8 @@ from obsphase.hamiltonians import (
     make_rotating,
     make_tabulated,
     make_two_loop,
-    make_zero,
 )
-from obsphase.linalg import normalize, sigma_x, sigma_z
+from obsphase.linalg import sigma_x, sigma_z
 from obsphase.obspace import from_observable
 from obsphase.phases import (
     circular_distance,
@@ -31,11 +30,8 @@ from obsphase.phases import (
     geometric_phases,
     wrap_angle,
 )
-from obsphase.propagation import (
-    exact_constant_propagator,
-    exact_rotating_propagator,
-    solve,
-)
+from obsphase.propagation import solve
+from support import exact_constant_propagator, exact_rotating_propagator, make_zero, normalize
 
 TWO_PI = 2 * np.pi
 

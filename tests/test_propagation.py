@@ -14,17 +14,15 @@ from obsphase.hamiltonians import (
     make_tabulated,
     make_two_loop,
     make_warped,
-    make_zero,
 )
 from obsphase.linalg import expm_skew_many, sigma_x, sigma_y, sigma_z
-from obsphase.propagation import (
-    Propagator,
-    closed_form_rotating,
+from obsphase.propagation import closed_form_rotating, solve
+from support import (
     exact_constant_propagator,
     exact_rotating_propagator,
     heisenberg_evolve,
     inverse_at,
-    solve,
+    make_zero,
 )
 
 
@@ -34,7 +32,7 @@ def test_constant_field_matches_closed_form():
     q = exact_constant_propagator(1.0, T, steps=10_000)
     # the midpoint generator is the exact constant generator here
     for k in (0, 1, 2500, 10_000):
-        assert np.linalg.norm(p.at(k) - q.at(k)) < 1e-8
+        assert np.linalg.norm(p.unitaries[k] - q.unitaries[k]) < 1e-8
 
 
 def test_zero_schedule_gives_identity():
@@ -102,6 +100,19 @@ def test_two_loop_needs_aligned_grid():
         solve(h2, 2 * np.pi, steps=63)
 
 
+@pytest.mark.parametrize("offset, aligned", [(1e-6, False), (1e-12, True)])
+def test_jump_alignment_is_judged_to_1e_9_of_a_step(offset, aligned):
+    # the two-loop reversal point at pi sits `offset` of a step past grid
+    # node 32 of 64
+    h2 = make_two_loop(make_rotating(1.0, 3.0, 2.0), np.pi)
+    duration = 64 * np.pi / (32 + offset)
+    if aligned:
+        assert solve(h2, duration, steps=64).steps == 64
+    else:
+        with pytest.raises(ScheduleDomainError, match=r"jump at t=3\.14159"):
+            solve(h2, duration, steps=64)
+
+
 def test_solve_input_checks():
     h = make_constant_z(1.0)
     with pytest.raises(ValueError):
@@ -117,7 +128,7 @@ def test_inverse_at():
     p = solve(make_rotating(1.0, 3.0, 2.0), np.pi, steps=64)
     assert np.allclose(inverse_at(p, 0), np.eye(2))
     for k in (7, 64):
-        assert np.linalg.norm(inverse_at(p, k) @ p.at(k) - np.eye(2)) < 1e-12
+        assert np.linalg.norm(inverse_at(p, k) @ p.unitaries[k] - np.eye(2)) < 1e-12
     with pytest.raises(IndexError):
         inverse_at(p, 65)
     # constant field: U(0, T/2) = exp(-i mu_B (T/2) sigma_z / 2)
@@ -231,8 +242,6 @@ def test_explicit_unitaries_give_their_steps():
     for k in (0, 31, 63):
         assert np.linalg.norm(S[k] @ q.unitaries[k] - q.unitaries[k + 1]) < 1e-14
     assert np.array_equal(q.final(), q.unitaries[-1])
-    with pytest.raises(ValueError):
-        Propagator(q.grid)
 
 
 def test_non_finite_schedule_samples_are_refused():
