@@ -6,10 +6,12 @@ The fixture is the accuracy ladder's rotating field, (w0, w1, w) =
 (1, 3, 2) over one period 2 pi / w with its cyclic observable, at the
 step count where both phase routes are within 1e-8 of the closed form.
 Each stage runs alone on inputs built once with the public obsphase API:
-schedule sampling, step exponentials, the two stages of the blocked
-prefix product that a solve runs and the third that forms the running
-products, the cyclicity check, the dynamical integral, and the lift with
-its holonomy; the last test times one whole solve + geometric_phases.
+schedule sampling, step exponentials, the fold to U(T, 0) that a solve
+runs, the stack of running products that a curve reads, the cyclicity
+check, the dynamical integral (from the solve's midpoint samples, as a
+phase report takes it, and by Simpson's rule on fresh samples), and the
+lift with its holonomy; the last test times one whole solve +
+geometric_phases.
 pytest-benchmark runs each many times and reports their spread. The
 suite is not collected by the default test run (testpaths = tests).
 """
@@ -62,13 +64,14 @@ def test_step_exponentials(benchmark, rotating):
 
 
 def test_prefix_blocks(benchmark, rotating):
-    # the in-block prefixes and the chained block totals, as solve runs them
+    # building a Propagator folds its steps to U(T, 0), as solve runs it
     benchmark(Propagator, rotating["grid"], step_unitaries=rotating["S"])
 
 
 def test_prefix_apply(benchmark, rotating):
-    # each block's prefixes applied to its incoming product: the stack of
-    # running products, formed on first access
+    # the stack of running products, formed on first access: the fold
+    # again, keeping every level, with each block's prefixes applied to
+    # its incoming product
     def fresh():
         return (Propagator(rotating["grid"], step_unitaries=rotating["S"]),), {}
 
@@ -80,7 +83,14 @@ def test_cyclicity_check(benchmark, rotating):
 
 
 def test_dynamical_integral(benchmark, rotating):
+    # Simpson's rule on fresh samples: a propagator built without samples
     benchmark(dynamical_phase, rotating["h"], rotating["obs"].vectors, rotating["T"], STEPS)
+
+
+def test_dynamical_integral_from_samples(benchmark, rotating):
+    # the end-corrected midpoint rule on the samples the solve took
+    h, T, p = rotating["h"], rotating["T"], rotating["p"]
+    benchmark(dynamical_phase, h, rotating["obs"].vectors, T, STEPS, p.samples)
 
 
 def test_lift_and_holonomy(benchmark, rotating):

@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotClosedError
-from .linalg import matmul_stack
+from .linalg import frame_diagonals, matmul_stack
 from .obspace import OrthDecomposition, fiber_contains, match_columns, wrap_angle
 from .propagation import Propagator
 
@@ -102,12 +102,8 @@ def horizontal_lift(raw: LiftCurve):
     """The horizontal lift with the same starting point: the raw lift
     right-multiplied by the frame-diagonal phases g_k that cancel the
     accumulated connection increments (see the module docstring)."""
-    S, f = raw.propagator.step_unitaries, raw.frame
-    d = raw.dim
-    # <f_n|S_k|f_n> = sum_ij S_k,ij conj(f_in) f_jn, as one (N, d^2) @ (d^2, d)
-    pairs = (f.conj()[:, None, :] * f[None, :, :]).reshape(d * d, d)
-    increments = S.reshape(-1, d * d) @ pairs
-    g = np.zeros((raw.steps + 1, d))
+    increments = frame_diagonals(raw.propagator.step_unitaries, raw.frame)
+    g = np.zeros((raw.steps + 1, raw.dim))
     np.cumsum(np.angle(increments), axis=0, out=g[1:])
     return replace(raw, gauge=g)
 

@@ -7,6 +7,12 @@ sampled in one call. Preset factories cover the constant and rotating
 qubit fields and tabulated samples, and combinators build the two-loop
 protocol and time warps from any inner schedule.
 
+A schedule names the times where it is not smooth, so integrators can
+put grid nodes there: breakpoints, where it jumps, and kinks, where it
+is continuous but its derivative jumps (the sample times of a tabulated
+schedule). solve needs every breakpoint on its grid; the dynamical
+integral cuts its pieces at both, where they fall on grid nodes.
+
 Conventions: only the products omega_i = mu*B_i enter (mu and B are
 never stored separately); all frequencies in rad/time.
 """
@@ -39,6 +45,9 @@ class HamiltonianSchedule:
                   returns the (n, dim, dim) stack of matrices
     breakpoints -- interior times where eval jumps; integrators must
                   align their grids on these
+    kinks      -- interior times where eval is continuous but its
+                  derivative jumps; a quadrature is of low order across
+                  one that falls inside a step
     """
 
     dim: int
@@ -46,6 +55,7 @@ class HamiltonianSchedule:
     domain: tuple
     fn: callable
     breakpoints: tuple = ()
+    kinks: tuple = ()
 
     def eval(self, t):
         """h(t) as a (dim, dim) matrix for a scalar t, or as the
@@ -70,6 +80,7 @@ class HamiltonianSchedule:
             domain=(lo - t0, hi - t0),
             fn=lambda u: self.fn(u + t0),
             breakpoints=tuple(b - t0 for b in self.breakpoints),
+            kinks=tuple(k - t0 for k in self.kinks),
         )
 
 
@@ -130,7 +141,9 @@ def make_two_loop(inner, T):
         eval(t) = inner(t)        for t in [0, T)
                 = -inner(2T - t)  for t in [T, 2T]
 
-    The join at t = T is generally a jump, so T is a breakpoint.
+    The join at t = T is generally a jump, so T is a breakpoint. The
+    inner breakpoints and kinks inside (0, T) appear twice, at t and at
+    their mirror image 2T - t.
     """
     lo, hi = inner.domain
     if lo > 0 or hi < T:
@@ -143,14 +156,17 @@ def make_two_loop(inner, T):
         H[~first] = -inner.fn(2 * T - t[~first])
         return H
 
-    inner_bps = [b for b in inner.breakpoints if 0 < b < T]
-    bps = sorted(inner_bps + [T] + [2 * T - b for b in inner_bps])
+    def mirrored(times):
+        inside = [t for t in times if 0 < t < T]
+        return sorted(inside + [2 * T - t for t in inside])
+
     return HamiltonianSchedule(
         dim=inner.dim,
         kind="TwoLoop",
         domain=(0.0, 2 * T),
         fn=fn,
-        breakpoints=tuple(bps),
+        breakpoints=tuple(sorted(mirrored(inner.breakpoints) + [T])),
+        kinks=tuple(mirrored(inner.kinks)),
     )
 
 
@@ -160,7 +176,8 @@ def make_tabulated(times, samples):
     times must be strictly increasing; each sample must pass is_hermitian
     (NotHermitianError names the first that fails). Their Hermitian parts
     (H + H^dagger) / 2 are interpolated, so H(t) is exactly Hermitian even
-    where a blend of two samples is small.
+    where a blend of two samples is small. H(t) is continuous, and its
+    interior sample times are its kinks.
     """
     times = np.asarray(times, dtype=float)
     samples = np.asarray(samples, dtype=complex)
@@ -185,6 +202,7 @@ def make_tabulated(times, samples):
         kind="Tabulated",
         domain=(float(times[0]), float(times[-1])),
         fn=fn,
+        kinks=tuple(times[1:-1].tolist()),
     )
 
 
@@ -196,7 +214,10 @@ def make_warped(inner, warp, dwarp, duration):
     The propagator of h_w at u then equals the inner propagator at warp(u),
     which is what reparameterization invariance of the geometric phase
     is about. inner must have no jumps (ScheduleDomainError otherwise):
-    a warp moves them off every uniform grid.
+    a warp moves them off every uniform grid. For the same reason the
+    warped schedule declares no kinks: the inner ones, at warp^-1 of
+    their times, would lie between the nodes of almost every grid, where
+    they cut nothing.
     """
     if inner.breakpoints:
         raise ScheduleDomainError(f"cannot warp a schedule that jumps at t={inner.breakpoints[0]:g}")

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 from .errors import NotHermitianError
 
-# Pauli matrices and the 2x2 identity, used all over the qubit fixtures.
+# Pauli matrices, used all over the qubit fixtures.
 sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 sigma_z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-ident2 = np.eye(2, dtype=complex)
 
 HERMITICITY_TOL = 1e-10
 GAP_TOL = 1e-9
@@ -31,11 +30,12 @@ _AMP_EPS = 1e-12
 
 
 def is_hermitian(H, tol=HERMITICITY_TOL):
-    """True iff max|H - H^dagger| <= tol * max|H| over the entries: the
-    package's one Hermiticity test. c H passes iff H does (c > 0), a NaN
-    fails, and a stack over the last two axes gives one bool per matrix.
-    Where H - H^dagger meets inf - inf the deviation is NaN, which
-    fails without a numpy warning."""
+    """True iff H is finite and max|H - H^dagger| <= tol * max|H| over
+    the entries: the package's one Hermiticity test. c H passes iff H
+    does (c > 0), a NaN or an infinity fails, and a stack over the last
+    two axes gives one bool per matrix. Where H - H^dagger meets
+    inf - inf the deviation is NaN, which fails without a numpy
+    warning."""
     H = np.asarray(H, dtype=complex)
     if H.ndim > 2 and H.shape[-2:] == (2, 2):
         # the entries of |H - H^dagger| (its (0, 1) entry equals its (1, 0)
@@ -47,9 +47,15 @@ def is_hermitian(H, tol=HERMITICITY_TOL):
                 np.maximum(np.abs(h00 - h00.conj()), np.abs(h11 - h11.conj())), np.abs(h10 - h01.conj())
             )
         scale = np.maximum(np.maximum(np.abs(h00), np.abs(h01)), np.maximum(np.abs(h10), np.abs(h11)))
-        return asymmetry <= tol * scale
-    ok = _asymmetry(H) <= tol * np.abs(H).max(axis=(-2, -1))
+        return _within(asymmetry, tol, scale)
+    ok = _within(_asymmetry(H), tol, np.abs(H).max(axis=(-2, -1)))
     return bool(ok) if ok.ndim == 0 else ok
+
+
+def _within(asymmetry, tol, scale):
+    # an infinite entry makes the scale infinite, which no bound relative
+    # to it can catch
+    return (asymmetry <= tol * scale) & (scale < np.inf)
 
 
 def _asymmetry(H):
@@ -65,9 +71,11 @@ def require_hermitian(H, what):
     if bad.size:
         M = H.reshape(-1, *H.shape[-2:])[bad[0]]
         name = f"{what} {bad[0]}" if H.ndim > 2 else what
+        with np.errstate(invalid="ignore"):  # inf / inf reads as a NaN deviation
+            deviation = _asymmetry(M) / np.abs(M).max()
         raise NotHermitianError(
             f"{name} is not Hermitian within {HERMITICITY_TOL:g} of its largest entry "
-            f"(deviation {_asymmetry(M) / np.abs(M).max():.3g})"
+            f"(deviation {deviation:.3g})"
         )
 
 
@@ -195,6 +203,15 @@ def expm_skew_many(Hs, s):
     U[..., 1, 0] = k * h10
     U[..., 0, 1] = k * h10.conj()
     return U
+
+
+def frame_diagonals(Ms, f):
+    """<f_n|M_k|f_n> for a stack Ms (N, d, d) and kets f (d, m) as
+    columns, shape (N, m): sum_ij M_k,ij conj(f_in) f_jn, as one
+    (N, d^2) @ (d^2, m) product."""
+    d = Ms.shape[-1]
+    pairs = (f.conj()[:, None, :] * f[None, :, :]).reshape(d * d, -1)
+    return Ms.reshape(-1, d * d) @ pairs
 
 
 def matmul_stack(A, B):

@@ -45,10 +45,6 @@ class OrthDecomposition:
     def dim(self):
         return self.vectors.shape[0]
 
-    def projector(self, n):
-        v = self.vectors[:, n]
-        return np.outer(v, v.conj())
-
 
 def wrap_angle(x):
     """Map angles to the principal branch [0, 2pi).
@@ -128,26 +124,6 @@ class GaugeElement:
     def in_frame(self, frame: OrthDecomposition):
         F = frame.vectors
         return F @ self.as_unitary() @ F.conj().T
-
-    def compose(self, other):
-        """Group product: as_unitary(self.compose(g)) = self U g U."""
-        perm = tuple(self.perm[other.perm[n]] for n in range(self.dim))
-        phases = tuple(
-            other.phases[n] + self.phases[other.perm[n]] for n in range(self.dim)
-        )
-        return GaugeElement(perm=perm, phases=phases)
-
-    def inverse(self):
-        inv = [0] * self.dim
-        for n in range(self.dim):
-            inv[self.perm[n]] = n
-        return GaugeElement(
-            perm=tuple(inv), phases=tuple(-self.phases[inv[n]] for n in range(self.dim))
-        )
-
-    @staticmethod
-    def identity(dim):
-        return GaugeElement(perm=tuple(range(dim)), phases=(0.0,) * dim)
 
 
 def gauge_from_unitary(U):

@@ -11,50 +11,57 @@ needed; the global error is O(dt^2). U(0, t) is always the adjoint of
 U(t, 0), never separately integrated.
 
 The schedule is sampled at all midpoints in one call, and a propagator
-is held as its step unitaries S_k = U_{k+1} U_k^dag, which is all the
-phase extraction reads: the holonomy comes from <f_n|S_k|f_n> in the
-initial frame (see obsphase.bundle), and the cyclicity check from U(T, 0)
-alone. The running products U_k are a blocked prefix product (Blelloch
-1990, "Prefix sums and their applications"): the steps are cut into
-about sqrt(N) blocks of about sqrt(N) steps, the prefixes inside every
-block are built at once, the block totals are chained, and each block's
-prefixes are applied to its incoming product. That is about 2 sqrt(N)
-batched matrix products instead of N single ones. A Propagator runs the
-first two stages when built, and final() reads U(T, 0) off them: the same
-floats as the last running product. The third stage, which writes the
-stack of N + 1 unitaries, runs only on first access to
-Propagator.unitaries. For qubits the step exponentials take a closed
-form and the batched products are written out entry by entry
-(linalg.expm_skew_many, linalg.matmul_stack), so no LAPACK or BLAS call
-is made per 2 x 2 matrix. The products are associated differently from
+is held as its step unitaries S_k = U_{k+1} U_k^dag and those midpoint
+samples, which is all the phase extraction reads: the holonomy comes
+from <f_n|S_k|f_n> in the initial frame (see obsphase.bundle), the
+dynamical integral from <f_n|h(t_k + dt/2)|f_n> (see obsphase.phases),
+and the cyclicity check from U(T, 0) alone. U(T, 0) is a nested
+sequential fold: the steps are cut into blocks of 16, each block is
+multiplied out in order (all blocks at once, one step position at a
+time), and the block totals are folded the same way, level after level,
+until one product is left. That is 15 batched products per level
+over N/16, N/256, ... matrices, each held as d^2 contiguous entry
+columns, so no LAPACK or BLAS call is made per small matrix. A
+Propagator folds its steps when built; the running products U_k are
+formed only on first access to Propagator.unitaries, by the same fold
+kept at every level: inside a block each prefix is applied to the
+running product coming into the block, and the block ends are the
+running products one level up. So the last of them is final() bit for
+bit. For qubits the step exponentials take a closed form
+(linalg.expm_skew_many). The products are associated differently from
 the sequential U_{k+1} = S_k U_k; on the rotating field that moves U_k
-by rounding only, about 1e-14 at N = 8192 and 1e-13 at N = 32768, far
-below the O(dt^2) error.
+by rounding only, about 4e-14 at N = 4096 and 1.5e-13 at N = 65536,
+far below the O(dt^2) error.
 """
 
-import math
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ScheduleDomainError
 from .hamiltonians import HamiltonianSchedule
-from .linalg import expm_skew, expm_skew_many, matmul_stack, sigma_x, sigma_z
+from .linalg import expm_skew, expm_skew_many, sigma_x, sigma_z
 
 DEFAULT_STEPS = 4096
+
+# steps multiplied out in order before their product joins the next level
+_BLOCK = 16
 
 
 class Propagator:
     """Sampled family U(t_k, 0) on a uniform grid t_0 = 0 ... t_N = T,
     built from the N step unitaries S_k = U_{k+1} U_k^dag that solve
-    produces, with the first two stages of their blocked prefix product.
+    produces, and folded to U(T, 0) when built. samples, when given, is
+    the (N, d, d) stack of h at the step midpoints the steps were
+    taken from; solve passes it, and the dynamical integral reads it.
     """
 
-    def __init__(self, grid, step_unitaries):
+    def __init__(self, grid, step_unitaries, samples=None):
         self.grid = grid
         self.step_unitaries = step_unitaries
+        self.samples = samples
         self.dim = step_unitaries.shape[1]
-        self._blocks = _block_prefixes(step_unitaries)
+        self._final = _fold_levels(step_unitaries)[-1][:, :, -1, 0].copy()
 
     @property
     def steps(self):
@@ -66,21 +73,26 @@ class Propagator:
 
     @cached_property
     def unitaries(self):
-        return _prefix_products(*self._blocks, self.steps)
+        return _prefix_products(self.step_unitaries)
 
     def final(self):
         """U(T, 0): the same floats as unitaries[-1], without forming them."""
-        local, incoming = self._blocks
-        b, j = divmod(self.steps - 1, local.shape[1])
-        return matmul_stack(local[b, j], incoming[b])
+        return self._final.copy()
+
+
+def grid_node(t, dt):
+    """The index of the uniform grid node (spacing dt) within 1e-9 of a
+    step of t, or None when t lies between nodes."""
+    k = round(t / dt)
+    return k if abs(t / dt - k) <= 1e-9 else None
 
 
 def solve(h: HamiltonianSchedule, T, steps=DEFAULT_STEPS):
     """Integrate U(t, 0) over [0, T] with a uniform grid of `steps` intervals.
 
-    Jump discontinuities of the schedule must land on grid points, so
-    every step integrates a smooth piece; otherwise the local midpoint
-    error drops to first order.
+    Jump discontinuities of the schedule must land on grid points (to
+    1e-9 of a step, grid_node), so every step integrates a smooth piece;
+    otherwise the local midpoint error drops to first order.
     """
     if steps < 8:
         raise ValueError("steps must be at least 8")
@@ -93,7 +105,7 @@ def solve(h: HamiltonianSchedule, T, steps=DEFAULT_STEPS):
         )
     dt = T / steps
     for b in h.breakpoints:
-        if 0 < b < T and abs(b / dt - round(b / dt)) > 1e-9:
+        if 0 < b < T and grid_node(b, dt) is None:
             raise ScheduleDomainError(
                 f"schedule jump at t={b:g} does not land on the grid; "
                 f"choose steps so that T/steps divides it"
@@ -106,38 +118,68 @@ def solve(h: HamiltonianSchedule, T, steps=DEFAULT_STEPS):
         raise ScheduleDomainError(
             f"schedule is not finite at t={mids[np.argmin(finite)]:g}"
         )
-    return Propagator(grid, expm_skew_many(H_mid, dt))
+    return Propagator(grid, expm_skew_many(H_mid, dt), H_mid)
+
+
+def _column_product(A, B):
+    """A @ B for matrices held as entry columns, A[i, j, ...] and
+    B[i, j, ...] (broadcast over the trailing axes)."""
+    out = A[:, 0, None] * B[None, 0]
+    for j in range(1, A.shape[1]):
+        out += A[:, j, None] * B[None, j]
+    return out
 
 
 def _block_prefixes(S):
-    """The first two stages of the blocked prefix product of a stack of N
-    steps (see the module docstring): the prefixes inside every block,
-    shape (B, L, d, d) with identities past the last step, and the
-    product coming into each block, shape (B, d, d)."""
-    N, d = S.shape[0], S.shape[1]
-    L = math.isqrt(N - 1) + 1  # ceil(sqrt(N)) steps per block
-    B = -(-N // L)
-    local = np.empty((B, L, d, d), dtype=complex)
-    flat = local.reshape(B * L, d, d)
-    flat[:N] = S
-    flat[N:] = np.eye(d)
-    for j in range(1, L):
-        local[:, j] = matmul_stack(local[:, j], local[:, j - 1])
-    incoming = np.empty((B, d, d), dtype=complex)
-    incoming[0] = np.eye(d)
-    for b in range(1, B):
-        incoming[b] = local[b - 1, -1] @ incoming[b - 1]
-    return local, incoming
+    """The running products inside blocks of L = min(16, n) consecutive
+    matrices of a stack S (n, d, d), as entry columns C (d, d, L, nb):
+    C[:, :, r, q] = S[qL + r] ... S[qL], with identities past the last."""
+    n, d = S.shape[0], S.shape[-1]
+    L = min(_BLOCK, n)
+    full, tail = divmod(n, L)
+    C = np.empty((d, d, L, full + (tail > 0)), dtype=complex)
+    blocks = C.transpose(3, 2, 0, 1)
+    blocks[:full] = S[: full * L].reshape(full, L, d, d)
+    if tail:
+        blocks[full, :tail] = S[full * L:]
+        blocks[full, tail:] = np.eye(d)
+    for r in range(1, L):
+        C[:, :, r] = _column_product(C[:, :, r], C[:, :, r - 1])
+    return C
 
 
-def _prefix_products(local, incoming, N):
-    """[I, S_0, S_1 S_0, ..., S_{N-1} ... S_0]: each block's prefixes
-    applied to its incoming product."""
-    d = local.shape[-1]
-    unitaries = np.empty((N + 1, d, d), dtype=complex)
-    unitaries[0] = np.eye(d)
-    unitaries[1:] = matmul_stack(local, incoming[:, None]).reshape(-1, d, d)[:N]
-    return unitaries
+def _fold_levels(S):
+    """_block_prefixes of S, of its block totals, and so on, up to the
+    level with a single block, whose total is the product of all of S."""
+    levels = [_block_prefixes(S)]
+    while levels[-1].shape[-1] > 1:
+        levels.append(_block_prefixes(levels[-1][:, :, -1].transpose(2, 0, 1)))
+    return levels
+
+
+def _prefix_products(S):
+    """[I, S_0, S_1 S_0, ..., S_{N-1} ... S_0] in the association of the
+    fold (see the module docstring), so the last is its product bit for
+    bit."""
+    d = S.shape[-1]
+    levels = _fold_levels(S)
+    counts = [len(S)] + [C.shape[-1] for C in levels[:-1]]
+    P = levels[-1][:, :, -1].transpose(2, 0, 1)
+    for C, n in zip(reversed(levels), reversed(counts)):
+        # P holds the running products over this level's block totals: each
+        # block's prefixes are applied to the product coming into the block,
+        # one step position at a time, and the block ends are P itself
+        L, nb = C.shape[2:]
+        incoming = np.ascontiguousarray(P[:-1].transpose(1, 2, 0))
+        for r in range(L - 1):
+            C[:, :, r, 1:] = _column_product(C[:, :, r, 1:], incoming)
+        C[:, :, -1] = P.transpose(1, 2, 0)
+        buf = np.empty((1 + nb * L, d, d), dtype=complex)
+        buf[1:].reshape(nb, L, d, d)[:] = C.transpose(3, 2, 0, 1)
+        last, P = P[-1], buf[1 : n + 1]
+        P[-1] = last  # a short last block ends where the level above does
+    buf[0] = np.eye(d)
+    return buf[: len(S) + 1]
 
 
 def closed_form_rotating(w0, w1, w, t):

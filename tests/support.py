@@ -1,8 +1,9 @@
 """Helpers that only the tests call: closed-form propagators, a few
 schedules and the paper's objects that the pipeline never evaluates
 (the canonical connection, the Heisenberg evolution, projector-set
-equality and the Bloch chart). Not collected: the name has no test_
-prefix.
+equality, the Bloch chart, the projectors of a frame and the group
+product and inverse of gauge elements). Not collected: the name has no
+test_ prefix.
 """
 
 import numpy as np
@@ -10,8 +11,39 @@ import numpy as np
 from obsphase.errors import DimensionMismatchError, NotUnitaryError, ScheduleDomainError
 from obsphase.hamiltonians import UNBOUNDED, HamiltonianSchedule
 from obsphase.linalg import is_unitary, matmul_stack, require_hermitian, sigma_x, sigma_y, sigma_z
-from obsphase.obspace import OrthDecomposition, match_columns
+from obsphase.obspace import GaugeElement, OrthDecomposition, match_columns
 from obsphase.propagation import Propagator, closed_form_rotating
+
+
+ident2 = np.eye(2, dtype=complex)
+
+
+# -- members the pipeline never calls, installed as the methods the tests call -
+
+
+def projector(O: OrthDecomposition, n):
+    """|f_n><f_n| for the n-th ket of a frame."""
+    v = O.vectors[:, n]
+    return np.outer(v, v.conj())
+
+
+def compose(g: GaugeElement, other: GaugeElement):
+    """Group product: as_unitary(compose(g, h)) = g U h U."""
+    perm = tuple(g.perm[other.perm[n]] for n in range(g.dim))
+    phases = tuple(other.phases[n] + g.phases[other.perm[n]] for n in range(g.dim))
+    return GaugeElement(perm=perm, phases=phases)
+
+
+def inverse(g: GaugeElement):
+    inv = [0] * g.dim
+    for n in range(g.dim):
+        inv[g.perm[n]] = n
+    return GaugeElement(perm=tuple(inv), phases=tuple(-g.phases[inv[n]] for n in range(g.dim)))
+
+
+OrthDecomposition.projector = projector
+GaugeElement.compose = compose
+GaugeElement.inverse = inverse
 
 
 def haar_frame(rng, d=2):

@@ -857,3 +857,25 @@ def test_a_sweep_checks_cyclicity_once_per_row(tmp_path, monkeypatch):
     rows = (tmp_path / "t-sweep-T.csv").read_text().splitlines()[1:]
     assert [row.rsplit(",", 1)[1] for row in rows] == ["not-cyclic"] * 8 + ["ok"]
     assert len(calls) == len(rows)
+
+
+def test_a_tabulated_drive_with_close_kinks_passes_the_cross_check(tmp_path, capsys):
+    # a piecewise-linear z drive with closely spaced samples, rescaled to
+    # exactly two turns; with gamma read off the midpoints the solve
+    # integrated, the two routes to beta stay within the cross tolerance
+    # at the default 4096 steps; Simpson's rule on fresh nodes misses it
+    # by 1.35e-5
+    times = np.array([0.0, 4.4839, 4.9637, 5.0202, 5.0375, 6.1029, 6.9643, 6.9804, 8.8799])
+    f = np.array([2.0368, 0.7421, 2.137, 0.7437, 1.4795, 0.7817, 2.0684, 1.0836, 2.1673])
+    f *= 4 * np.pi / np.sum((f[1:] + f[:-1]) / 2 * np.diff(times))
+    sz, sx, sy = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, -1j], [1j, 0.0]])
+    polar, azimuth = 0.5, 0.7
+    n = (np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar))
+    raw = scenario(
+        system="custom-tabulated",
+        params={"steps": 4096},
+        schedule={"times": times.tolist(), "matrices": [_pairs(-(fk / 2) * sz) for fk in f]},
+        observable=_pairs(-(n[0] * sx + n[1] * sy + n[2] * sz)),
+    )
+    assert main(["run", write_scenario(tmp_path, raw), "--out", str(tmp_path)]) == 0
+    assert read_report(tmp_path, "t")["residuals"]["cross_check"] < 1e-5

@@ -279,3 +279,20 @@ def test_warps_refuse_a_schedule_with_jumps():
         make_warped(h, lambda u: u, np.ones_like, 2 * np.pi)
     with pytest.raises(ScheduleDomainError):
         make_quadratic_warp(h, 2 * np.pi)
+
+
+def test_kinks_are_carried_like_breakpoints():
+    # the interior sample times of a table are its kinks; the two-loop
+    # mirrors them about T, a shift moves them, and a warp drops them
+    tab = make_tabulated([0.0, 0.5, 1.5, 2.0], [sigma_z, sigma_x, sigma_y, sigma_z])
+    assert tab.kinks == (0.5, 1.5) and tab.breakpoints == ()
+    loop = make_two_loop(tab, 2.0)
+    assert loop.kinks == (0.5, 1.5, 2.5, 3.5)
+    assert loop.breakpoints == (2.0,)
+    shifted = loop.shifted(0.5)
+    assert shifted.kinks == (0.0, 1.0, 2.0, 3.0)
+    assert shifted.breakpoints == (1.5,)
+    assert make_quadratic_warp(tab, 2.0).kinks == ()
+    assert make_rotating(1.0, 3.0, 2.0).kinks == ()
+    # only the kinks inside (0, T) are mirrored
+    assert make_two_loop(tab, 1.25).kinks == (0.5, 2.0)

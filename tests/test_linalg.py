@@ -13,7 +13,6 @@ from obsphase.linalg import (
     expm_skew_many,
     fix_phase,
     hermitian_eig,
-    ident2,
     is_hermitian,
     is_unitary,
     matmul_stack,
@@ -22,7 +21,7 @@ from obsphase.linalg import (
     sigma_y,
     sigma_z,
 )
-from support import normalize, operator_norm
+from support import ident2, normalize, operator_norm
 
 
 def random_hermitian(rng, d):
@@ -297,7 +296,7 @@ def test_stack_screen_reads_every_matrix_like_the_generic_rule(seed, d, n, expon
         part = Hs.imag if imaginary else Hs.real
         part[k % n, i % d, j % d] = value
     with np.errstate(all="ignore"):
-        want = [bool(_asymmetry(M) <= HERMITICITY_TOL * np.abs(M).max()) for M in Hs]
+        want = [bool(_asymmetry(M) <= HERMITICITY_TOL * np.abs(M).max() and np.isfinite(M).all()) for M in Hs]
         assert is_hermitian(Hs).tolist() == want
         if all(want):
             require_hermitian(Hs, "generator")
@@ -310,3 +309,24 @@ def test_stack_screen_reads_every_matrix_like_the_generic_rule(seed, d, n, expon
         with pytest.raises(NotHermitianError) as raised:
             require_hermitian(Hs, "generator")
     assert str(raised.value) == text
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        np.array([[1.0, np.inf], [0.0, 1.0]]),
+        np.diag([complex(np.nan, np.inf), 1.0]),
+        np.diag([complex(0.0, np.inf), 1.0]),
+        np.array([[np.inf, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]]),
+    ],
+    ids=["off-diagonal-inf", "nan-inf-diagonal", "imaginary-inf-diagonal", "d3-inf-diagonal"],
+)
+def test_a_non_finite_matrix_is_never_hermitian(M):
+    # an infinite entry makes the scale infinite too, so the relative
+    # bound alone passes an infinite deviation; the suite turns any numpy
+    # warning from the test or from its message into an error
+    assert not is_hermitian(M)
+    stack = np.stack([np.eye(len(M)), M, M])
+    assert is_hermitian(stack).tolist() == [True, False, False]
+    with pytest.raises(NotHermitianError, match=r"generator 1 .*\(deviation nan\)$"):
+        require_hermitian(stack, "generator")

@@ -423,3 +423,92 @@ def test_qubit_betas_pair_to_zero_on_both_routes(w0, w1, w, sign):
     rep = geometric_phases(solve(h, T, steps=steps), h, X0, cross_tol=np.pi)
     assert circular_distance(rep.beta.sum(), 0.0) <= 1e-11
     assert circular_distance(rep.holonomy_beta.sum(), 0.0) <= 1e-11
+
+
+# ------------------------------------------- the dynamical integral from samples
+
+
+def _ladder_problems():
+    """The rotating, constant and triangle fixtures of the accuracy ladder:
+    (schedule, duration, observable)."""
+    w0, w1, w = 1.0, 3.0, 2.0
+    times, f = np.array([0.0, np.pi, TWO_PI]), np.array([0.0, 2.0, 0.0])
+    triangle = make_tabulated(times, [-(fk / 2) * sigma_z for fk in f])
+    return [
+        (make_rotating(w0, w1, w), TWO_PI / w, rotating_observable(w0, w1, w)[0]),
+        (make_constant_z(1.0), TWO_PI, constant_observable(np.pi / 3)),
+        (triangle, TWO_PI, constant_observable(1.0)),
+    ]
+
+
+@pytest.mark.parametrize("steps", [4096, 32768])
+def test_the_sample_route_agrees_with_simpson_on_the_ladder_fixtures(steps):
+    for h, T, X0 in _ladder_problems():
+        p = solve(h, T, steps=steps)
+        F = from_observable(X0).vectors
+        got = dynamical_phase(h, F, T, steps, p.samples)
+        assert np.max(np.abs(got - dynamical_phase(h, F, T, steps))) <= 1e-13
+
+
+def test_the_sample_route_is_fourth_order():
+    # the closed form of test_dynamical_phase_rotating_closed_form; over a
+    # whole period the end corrections cancel to higher order still
+    w0, w1, w = 1.0, 3.0, 2.0
+    h = make_rotating(w0, w1, w)
+    _, phi, _ = rotating_observable(w0, w1, w)
+    psi = np.array([np.cos(phi / 2), np.sin(phi / 2)])
+    for T, rate in ((1.1, (14.0, 17.0)), (TWO_PI / w, (14.0, np.inf))):
+        expect = -0.5 * (w0 * np.sin(phi) * np.sin(w * T) / w + w1 * np.cos(phi) * T)
+        errors = [
+            abs(dynamical_phase(h, psi, T, n, solve(h, T, steps=n).samples) - expect)
+            for n in (32, 64, 128, 256, 512, 1024, 2048)
+        ]
+        for coarse, fine in zip(errors[:-1], errors[1:]):
+            if fine < 1e-13:  # rounding
+                break
+            assert rate[0] <= coarse / fine <= rate[1]
+        assert errors[-1] < 1e-13
+
+
+def test_pieces_are_cut_at_kinks_on_nodes_and_short_ones_take_the_plain_sum():
+    # a piecewise-linear drive whose kinks all sit on grid nodes, with
+    # pieces of 1, 2 and more steps: the midpoint rule is exact on each
+    # piece, so the sample route gives the exact integral; end corrections
+    # that read across a kink would not
+    rng = np.random.default_rng(3)
+    T, steps = 2.0, 64
+    dt = T / steps
+    times = np.array([0.0, dt, 3 * dt, 16 * dt, 40 * dt, 42 * dt, T])
+    A = rng.normal(size=(len(times), 3, 3)) + 1j * rng.normal(size=(len(times), 3, 3))
+    h = make_tabulated(times, A + np.conj(np.swapaxes(A, 1, 2)))
+    F = from_observable(h.eval(0.3 * T)).vectors
+    y = np.einsum("in,kij,jn->kn", F.conj(), h.eval(times), F).real
+    exact = ((y[1:] + y[:-1]) / 2 * np.diff(times)[:, None]).sum(axis=0)
+    p = solve(h, T, steps=steps)
+    assert np.max(np.abs(dynamical_phase(h, F, T, steps, p.samples) - exact)) <= 1e-13
+    # the same table, its kinks known to the schedule only as smooth
+    # times, misses the exact value by the kinks' O(dt^2)
+    uncut = HamiltonianSchedule(dim=3, kind="Tabulated", domain=h.domain, fn=h.fn)
+    assert np.max(np.abs(dynamical_phase(uncut, F, T, steps, p.samples) - exact)) > 1e-6
+
+
+def test_the_sample_route_needs_one_sample_per_step():
+    h = make_constant_z(1.0)
+    p = solve(h, 1.0, steps=16)
+    with pytest.raises(ValueError, match="one sample per step"):
+        dynamical_phase(h, np.array([1.0, 0.0]), 1.0, 32, p.samples)
+
+
+def test_geometric_phases_reads_gamma_off_the_solve(monkeypatch):
+    # the dynamical integral evaluates no schedule; the one evaluation
+    # left is the check that h gives the propagator's samples
+    w0, w1, w = 1.0, 3.0, 2.0
+    h = make_rotating(w0, w1, w)
+    p = solve(h, TWO_PI / w, steps=1001)  # odd: no Simpson panels involved
+    calls = []
+    original = HamiltonianSchedule.eval
+    monkeypatch.setattr(HamiltonianSchedule, "eval", lambda self, t: calls.append(np.size(t)) or original(self, t))
+    rep = geometric_phases(p, h, rotating_observable(w0, w1, w)[0])
+    assert calls == [9]
+    want = ROTATING_FIXTURES[(w0, w1, w)]["gamma"]
+    assert np.max(np.abs(rep.gamma - want)) < 1e-8

@@ -283,3 +283,24 @@ def test_qubit_solves_call_no_eigh(monkeypatch):
     tabulated = make_tabulated(np.linspace(0.0, 2.0, 5), A + np.conj(np.swapaxes(A, 1, 2)))
     solve(tabulated, 2.0, steps=1024)
     assert calls == [(1024, 3, 3)]
+
+
+@pytest.mark.parametrize("steps", [17, 255, 257, 4097, 65537])
+def test_final_is_the_last_running_product_at_every_fold_depth(steps):
+    # 16-step blocks with a short last block, folded one to four levels
+    # deep; final() folds without the stack and still ends on its floats
+    for h, T in ((make_rotating(1.0, 3.0, 2.0), np.pi), _random_d3_drive()):
+        p = solve(h, T, steps=steps)
+        final = p.final()
+        unitaries = p.unitaries
+        assert unitaries.shape == (steps + 1, p.dim, p.dim)
+        assert np.array_equal(final.view(np.uint64), unitaries[-1].view(np.uint64))
+        assert np.array_equal(unitaries[1], p.step_unitaries[0])
+        k = steps // 2
+        assert np.linalg.norm(unitaries[k + 1] - p.step_unitaries[k] @ unitaries[k]) <= 1e-14
+
+
+def test_a_solve_keeps_its_midpoint_samples():
+    h, T = make_rotating(1.0, 3.0, 2.0), np.pi
+    p = solve(h, T, steps=64)
+    assert np.array_equal(p.samples, h.eval(p.grid[:-1] + T / 64 / 2))
