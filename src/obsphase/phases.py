@@ -14,8 +14,8 @@ A phase report samples the schedule once: gamma_n is read off the
 midpoint samples the solve integrated (Propagator.samples), by the
 midpoint rule with end corrections on the smooth pieces between the
 schedule's jumps and grid-node kinks, so theta and gamma see the same
-values of h. Only a propagator built without samples falls back to
-Simpson's rule on freshly sampled nodes.
+values of h. Simpson's rule on freshly sampled nodes, dynamical_phase
+without samples, is kept as the reference the tests hold it to.
 
 The paper's invariances of beta (reparameterization of the cycle, the
 gauge at the start of the lift, the reference frame) are checked in one
@@ -197,14 +197,12 @@ def geometric_phases(
 ):
     """Full phase extraction with the holonomy cross-check.
 
-    h must be the schedule the propagator was solved from: the dynamical
-    integral reads the propagator's midpoint samples and cuts them at
-    h's breakpoints and kinks (a propagator built without samples is
-    integrated by Simpson on h). Raises NotCyclic when the observable
-    does not return, and CrossCheck when h differs from those samples
-    at 9 spread midpoints or the two routes to beta disagree beyond
-    cross_tol; a NotCyclicError carries the failed CyclicityCheck as
-    its check.
+    p must come from solve(h, ...): the dynamical integral reads the
+    propagator's midpoint samples and cuts them at h's breakpoints and
+    kinks. Raises NotCyclic when the observable does not return, and
+    CrossCheck when h differs from those samples at 9 spread midpoints
+    or the two routes to beta disagree beyond cross_tol; a
+    NotCyclicError carries the failed CyclicityCheck as its check.
     """
     cyc = detect_cyclic(p, X0, tol)
     if not cyc.is_cyclic:
@@ -221,12 +219,8 @@ def geometric_phases(
             cyc,
         )
     obs = cyc.frame
-    if p.samples is None:
-        steps = p.steps + p.steps % 2  # Simpson needs an even count
-    else:
-        _require_solved_from(p, h)
-        steps = p.steps
-    gamma = dynamical_phase(h, obs.vectors, p.duration, steps, p.samples)
+    _require_solved_from(p, h)
+    gamma = dynamical_phase(h, obs.vectors, p.duration, p.steps, p.samples)
     beta_raw = cyc.thetas - gamma
     beta = wrap_angle(beta_raw)
 

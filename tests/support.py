@@ -18,7 +18,7 @@ from obsphase.propagation import Propagator, closed_form_rotating
 ident2 = np.eye(2, dtype=complex)
 
 
-# -- members the pipeline never calls, installed as the methods the tests call -
+# -- members the pipeline never calls ------------------------------------------
 
 
 def projector(O: OrthDecomposition, n):
@@ -41,6 +41,8 @@ def inverse(g: GaugeElement):
     return GaugeElement(perm=tuple(inv), phases=tuple(-g.phases[inv[n]] for n in range(g.dim)))
 
 
+# test_bundle and test_obspace still call these as methods; they get them by
+# importing this module, which attaches them to the library classes
 OrthDecomposition.projector = projector
 GaugeElement.compose = compose
 GaugeElement.inverse = inverse
@@ -209,7 +211,7 @@ def bloch_chart(O: OrthDecomposition):
     """
     if O.dim != 2:
         raise DimensionMismatchError("the Bloch chart needs dim 2")
-    P = O.projector(0)
+    P = projector(O, 0)
     n = np.array(
         [np.real(np.trace(sigma_x @ P)), np.real(np.trace(sigma_y @ P)),
          np.real(np.trace(sigma_z @ P))]
