@@ -10,8 +10,10 @@ schedule sampling, step exponentials, the fold to U(T, 0) that a solve
 runs, the stack of running products that a curve reads, the cyclicity
 check, the dynamical integral (from the solve's midpoint samples, as a
 phase report takes it, and by Simpson's rule on fresh samples), and the
-lift with its holonomy; the last test times one whole solve +
-geometric_phases.
+lift with its holonomy; the next test times one whole solve +
+geometric_phases. The last stage is the observable-space metric,
+distance_DW, on the first Haar pair of default_rng(53), (21) and (22) at
+d = 2, 3 and 4: no propagation, all grid, pairing bounds and Nelder-Mead.
 pytest-benchmark runs each many times and reports their spread. The
 suite is not collected by the default test run (testpaths = tests).
 """
@@ -20,8 +22,10 @@ import numpy as np
 import pytest
 
 from obsphase import (
+    OrthDecomposition,
     Propagator,
     detect_cyclic,
+    distance_DW,
     dynamical_phase,
     from_observable,
     geometric_phases,
@@ -102,3 +106,18 @@ def test_solve_and_phases(benchmark, rotating):
     h, T, X0 = rotating["h"], rotating["T"], rotating["X0"]
     report = benchmark(lambda: geometric_phases(solve(h, T, STEPS), h, X0))
     assert report.cross_residual <= 1e-8
+
+
+def _haar_pair(seed, d):
+    rng = np.random.default_rng(seed)
+    frames = []
+    for _ in range(2):
+        q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        frames.append(OrthDecomposition(q * (np.diag(r) / np.abs(np.diag(r)))[None, :]))
+    return frames
+
+
+@pytest.mark.parametrize("d, seed", [(2, 53), (3, 21), (4, 22)], ids=["d2", "d3", "d4"])
+def test_distance_DW(benchmark, d, seed):
+    O, O2 = _haar_pair(seed, d)
+    benchmark(distance_DW, O, O2)

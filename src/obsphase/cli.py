@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -444,6 +444,7 @@ def run_scenario(sc, out_dir=".", steps=None, tol=None):
         h, T, X0, n = _build_problem(sc, steps)
         p = solve(h, T, steps=n)
         phase_report = geometric_phases(p, h, X0, tol=tol)
+        p.samples = None  # only gamma reads them: free them before the checks and curve
         _fill_phase_fields(report, phase_report)
         if system.gate:
             system.gate(report, sc, p, phase_report)
@@ -542,6 +543,7 @@ def sweep_scenario(sc, param, values, out_dir=".", steps=None, tol=None):
 # ----------------------------------------------------------------------- cli
 
 
+@cache  # built once per process: building costs several parses
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="obsphase",

@@ -11,7 +11,9 @@ import numpy as np
 from dataclasses import dataclass
 from itertools import permutations
 
-import scipy  # scipy.optimize loads on first use, not at import
+# unused here: benchmark/tracing.py wraps obspace.scipy.optimize.minimize,
+# and the tests install that tracer
+import scipy
 
 from .errors import (
     DegenerateSpectrumError,
@@ -198,16 +200,113 @@ def _eig_objective(A, thetas):
     return 2 * np.sin(np.minimum(phi[..., -1] - phi[..., 0], TWO_PI - inner) / 4)
 
 
+def _objective_at(A, rel):
+    # _eig_objective at one point, with the same floats: one eigvals, the
+    # angles sorted in place, and the arc width on Python floats
+    full = np.zeros(len(A))
+    full[1:] = rel
+    lam = np.linalg.eigvals(A * np.exp(1j * full))
+    phi = np.arctan2(lam.imag, lam.real)
+    phi.sort()
+    phi = phi.tolist()
+    inner = max(b - a for a, b in zip(phi, phi[1:]))
+    return float(2 * np.sin(min(phi[-1] - phi[0], TWO_PI - inner) / 4))
+
+
+class _EvaluationCap(Exception):
+    pass
+
+
+def _nelder_mead(func, x0, xatol, fatol, maxiter, maxfev):
+    # Nelder-Mead (Comput. J. 7, 308, 1965) as scipy.optimize.minimize runs
+    # it without adaptive coefficients, step for step on Python floats, so
+    # every iterate is the same float: the same initial simplex, centroid
+    # summed row by row from the best vertex, reflection 1, expansion 2,
+    # contraction and shrink 1/2, np.argsort ordering (ties fall as in
+    # scipy), and stop rules; the evaluation past maxfev drops the
+    # iteration in progress, as scipy's wrapper does. Returns
+    # (fun, nit, nfev, simplex, values), the simplex best vertex first.
+    n = len(x0)
+    sim = [list(x0)]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [np.inf] * (n + 1)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _EvaluationCap
+        nfev += 1
+        return func(x)
+
+    def ordered(sim, fsim):
+        order = np.array(fsim).argsort()
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _EvaluationCap:
+        pass
+    sim, fsim = ordered(*ordered(sim, fsim))  # scipy sorts twice here
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        try:
+            best, worst = sim[0], sim[-1]
+            # all(... <= tol) is max(...) <= tol, a NaN failing both
+            if all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best)) and all(
+                abs(fsim[0] - fx) <= fatol for fx in fsim[1:]
+            ):
+                break
+            total = best
+            for x in sim[1:-1]:
+                total = [t + v for t, v in zip(total, x)]
+            xbar = [t / n for t in total]
+            xr = [2 * c - w for c, w in zip(xbar, worst)]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:  # inside contraction
+                    xc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
+                        fsim[j] = f(sim[j])
+            nit += 1
+        except _EvaluationCap:
+            pass
+        sim, fsim = ordered(sim, fsim)
+    return float(np.min(fsim)), nit, nfev, sim, fsim
+
+
 def _refine(A, start):
     # start holds all d phases; only their differences from the first count
     start = np.asarray(start, dtype=float)
-    res = scipy.optimize.minimize(
-        lambda rel: float(_eig_objective(A, rel)),
-        start[1:] - start[0],
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000, "maxfev": 8000},
+    fun, *_ = _nelder_mead(
+        lambda rel: _objective_at(A, rel),
+        (start[1:] - start[0]).tolist(),
+        xatol=1e-10,
+        fatol=1e-13,
+        maxiter=4000,
+        maxfev=8000,
     )
-    return float(res.fun)
+    return fun
 
 
 def _min_over_phases(A, grid_points, bound):
@@ -215,7 +314,7 @@ def _min_over_phases(A, grid_points, bound):
     # value meets the pairing's lower bound it is the minimum (always at
     # d = 2, and for a gauge copy at any d), and nothing is searched
     aligned = -np.angle(np.diag(A))
-    at_aligned = float(_eig_objective(A, aligned[1:] - aligned[0]))
+    at_aligned = _objective_at(A, aligned[1:] - aligned[0])
     if at_aligned <= bound + 1e-12:
         return at_aligned
     if grid_points == 1:  # only the arbitrary theta = 0 (d >= 14): refine the aligned point
@@ -272,7 +371,11 @@ def distance_DW(O: OrthDecomposition, O2: OrthDecomposition):
     count that keeps the grid at 4096 points or fewer), and again from
     the phase-aligned point when that lies below the first result. From
     d = 14 that count is 1, a grid holding only the arbitrary theta = 0,
-    so only the phase-aligned point is refined.
+    so only the phase-aligned point is refined. The Nelder-Mead is the
+    package's own copy of scipy.optimize's (xatol 1e-10, fatol 1e-13, at
+    most 4000 iterations and 8000 evaluations): it takes the same steps
+    and returns the same floats, and no call loads scipy.optimize. From
+    d = 14 on it stops at the iteration cap, short of a local minimum.
 
     For d >= 3 the result is an upper bound in principle, since the
     refinement is local. As measured on 300 Haar pairs at d = 3 and 30
@@ -292,17 +395,18 @@ def distance_DW(O: OrthDecomposition, O2: OrthDecomposition):
         O, O2 = O2, O
     A = O.vectors.conj().T @ O2.vectors
     overlaps = np.abs(A)
-    perms = permutations(range(d)) if d <= 4 else [_greedy_pairing(overlaps)]
+    sigmas = np.array(list(permutations(range(d))) if d <= 4 else [_greedy_pairing(overlaps)])
     # 2 - 2|A_nm| = 2 r_nm / (1 + |A_nm|), with r_nm = 1 - |A_nm|^2 summed
     # over the rest of row n: no subtraction, so the bound keeps its
     # digits when |A_nm| rounds to 1
     rest = overlaps**2 @ (1 - np.eye(d))
     pair_bounds = np.sqrt(2 * rest / (1 + overlaps))
-    bounded = sorted((float(pair_bounds[range(d), sigma].max()), sigma) for sigma in perms)
+    bounds = pair_bounds[np.arange(d), sigmas].max(axis=1).tolist()
     grid_points = _grid_points(d)
     best = np.inf
-    for bound, sigma in bounded:
-        if bound >= best:
+    # ascending bound, ties in the order permutations() yields
+    for k in np.argsort(bounds, kind="stable"):
+        if bounds[k] >= best:
             break
-        best = min(best, _min_over_phases(A[:, list(sigma)], grid_points, bound))
+        best = min(best, _min_over_phases(A[:, sigmas[k]], grid_points, bounds[k]))
     return best

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +353,35 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
     a = (tmp_path / "a" / "t-report.json").read_bytes()
     b = (tmp_path / "b" / "t-report.json").read_bytes()
     assert a == b
+
+
+def test_run_then_sweep_in_one_process_writes_what_fresh_processes_write(tmp_path):
+    # main builds its parser once per process: a run with --steps and a
+    # sweep without it, in one process, write the bytes that each writes
+    # in an interpreter of its own
+    sc = scenario(outputs=["report", "curve_csv"])
+    path = write_scenario(tmp_path, sc)
+    commands = (
+        ["run", path, "--steps", "2048"],
+        ["sweep", path, "--param", "phi", "--range", "0.5:1.5:3"],
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    for argv in commands:
+        assert main([*argv, "--out", str(tmp_path / "one")]) == 0
+        fresh = subprocess.run(
+            [sys.executable, "-m", "obsphase.cli", *argv, "--out", str(tmp_path / "fresh")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert fresh.returncode == 0, fresh.stderr
+    written = sorted(p.name for p in (tmp_path / "one").iterdir())
+    assert written == ["t-curve.csv", "t-report.json", "t-sweep-phi.csv"]
+    assert written == sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    for name in written:
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
 def test_report_round_trips_and_revalidates(tmp_path):

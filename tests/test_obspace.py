@@ -1,11 +1,12 @@
 import time
+from functools import partial
 from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, minimize
 
 import obsphase.obspace as obspace
 from obsphase.errors import (
@@ -462,3 +463,54 @@ def test_distance_at_d14_refines_from_the_aligned_point():
     D = distance_DW(O, O2)
     assert D < 1.7696340861304944 - 0.05
     assert D >= _bottleneck_lower_bound(O.vectors.conj().T @ O2.vectors) - 1e-12
+
+
+def _nelder_mead_cases():
+    # (A, start): the phase-aligned start of the identity pairing, on the
+    # first 5 default_rng(21) pairs at d = 3, the first 2 default_rng(22)
+    # pairs at d = 4, and the second default_rng(3) pair at d = 14, where
+    # the run stops at maxiter
+    cases = []
+    for d, seed, pairs in ((3, 21, 5), (4, 22, 2)):
+        rng = np.random.default_rng(seed)
+        for _ in range(pairs):
+            O, O2 = haar_frame(rng, d), haar_frame(rng, d)
+            cases.append(O.vectors.conj().T @ O2.vectors)
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        O, O2 = _haar_frame(rng, 14), _haar_frame(rng, 14)
+    cases.append(O.vectors.conj().T @ O2.vectors)
+    return [(A, -np.angle(np.diag(A))) for A in cases]
+
+
+@pytest.mark.parametrize("maxfev", [8000, 50])
+def test_nelder_mead_takes_scipys_steps_bit_for_bit(maxfev):
+    cases = _nelder_mead_cases()
+    if maxfev == 50:
+        cases = cases[:1]
+    options = {"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000, "maxfev": maxfev}
+    statuses = []
+    for A, start in cases:
+        x0 = start[1:] - start[0]
+        objective = partial(obspace._objective_at, A)
+        ref = minimize(objective, x0, method="Nelder-Mead", options=options)
+        fun, nit, nfev, sim, fsim = obspace._nelder_mead(objective, x0.tolist(), **options)
+        assert (fun, nit, nfev) == (ref.fun, ref.nit, ref.nfev)
+        assert np.array(sim).tobytes() == ref.final_simplex[0].tobytes()
+        assert np.array(fsim).tobytes() == ref.final_simplex[1].tobytes()
+        statuses.append(ref.status)
+    # converged, stopped at maxfev, and at d = 14 stopped at maxiter
+    assert statuses == ([0] * 7 + [2] if maxfev == 8000 else [1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5))
+def test_objective_at_one_point_is_the_batched_objective_bit_for_bit(seed, d):
+    rng = np.random.default_rng(seed)
+    A = haar_frame(rng, d).vectors
+    rels = rng.uniform(-2 * np.pi, 2 * np.pi, (4, d - 1))
+    batched = obspace._eig_objective(A, rels)
+    for rel, value in zip(rels, batched):
+        at = obspace._objective_at(A, rel)
+        assert type(at) is float
+        assert at == float(obspace._eig_objective(A, rel)) == float(value)

@@ -32,6 +32,29 @@ def test_import_loads_neither_optimizer_nor_integrator():
     assert proc.stdout.strip() == "[]"
 
 
+def test_distance_refines_without_scipy_optimize():
+    # d = 3 and 4 Haar pairs are refined by Nelder-Mead, which obspace
+    # runs itself
+    proc = run_python(
+        "-c",
+        "import sys, numpy as np\n"
+        "import obsphase.obspace as obspace\n"
+        "from obsphase import OrthDecomposition, distance_DW\n"
+        "runs = []\n"
+        "nelder_mead = obspace._nelder_mead\n"
+        "obspace._nelder_mead = lambda *a, **k: runs.append(1) or nelder_mead(*a, **k)\n"
+        "rng = np.random.default_rng(21)\n"
+        "def frame(d):\n"
+        "    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))\n"
+        "    return OrthDecomposition(q)\n"
+        "for d in (3, 4):\n"
+        "    distance_DW(frame(d), frame(d))\n"
+        "print(len(runs) > 0, 'scipy.optimize' in sys.modules)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True False"
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_script_runs(path):
     proc = run_python(str(path))
@@ -81,3 +104,4 @@ def test_every_exported_name_has_a_caller_besides_the_unit_tests():
     callers.append(ROOT / "tests" / "test_acceptance.py")
     used = set().union(*map(_names_used, callers))
     assert sorted(exported - used) == []
+
