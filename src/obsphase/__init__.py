@@ -24,10 +24,7 @@ from .errors import (
     ZeroFrequencyError,
 )
 from .linalg import (
-    EigenDecomposition,
     expm_skew,
-    fix_phase,
-    hermitian_eig,
     is_hermitian,
     is_unitary,
     sigma_x,

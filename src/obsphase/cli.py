@@ -167,7 +167,10 @@ def _check_params(params, system):
     _want(params.get("T", 1.0) > 0, "/params/T", "duration must be positive")
 
 
-# the propagator holds steps + 1 complex d x d matrices, 16 (steps + 1) d^2 bytes
+# bounds one stack of steps + 1 complex d x d matrices, 16 (steps + 1) d^2
+# bytes, not the run: a solved propagator holds two stacks of about that
+# size (the step unitaries and the midpoint samples), and a run that writes
+# a curve adds a third (the steps + 1 running products)
 _MAX_STACK_BYTES = 256 * 2**20
 
 
@@ -593,6 +596,9 @@ def main(argv=None):
         return 3
     except ObsphaseError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:  # load_scenario turns its own OSError into a ScenarioError
+        print(f"error: cannot write output: {e}", file=sys.stderr)
         return 2
     for path in artifacts:
         print(f"wrote {path}")

@@ -13,7 +13,6 @@ as those of the generic rule, one matrix at a time.
 """
 
 import numpy as np
-from dataclasses import dataclass
 
 from .errors import NotHermitianError
 
@@ -23,10 +22,6 @@ sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 sigma_z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 HERMITICITY_TOL = 1e-10
-GAP_TOL = 1e-9
-
-# amplitudes below this count as zero when picking reference components
-_AMP_EPS = 1e-12
 
 
 def is_hermitian(H, tol=HERMITICITY_TOL):
@@ -84,81 +79,6 @@ def is_unitary(U, tol=1e-8):
     U = np.asarray(U, dtype=complex)
     d = U.shape[0]
     return bool(np.linalg.norm(U.conj().T @ U - np.eye(d)) <= tol)
-
-
-def fix_phase(v):
-    """Rotate v by a global phase so its largest-magnitude component is
-    real and positive. Ties go to the lowest index."""
-    v = np.asarray(v, dtype=complex)
-    m = np.abs(v)
-    j = int(np.argmax(m > m.max() - _AMP_EPS))
-    ph = v[j] / abs(v[j])
-    return v / ph
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral data of a Hermitian matrix.
-
-    values    -- eigenvalues, ascending
-    vectors   -- orthonormal eigenvectors as columns, vectors[:, n] <-> values[n],
-                 each with its largest-magnitude component real positive
-    degenerate -- True unless the smallest gap exceeds GAP_TOL * ||H||_2
-    min_gap   -- smallest gap between consecutive eigenvalues (inf for d = 1)
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-    degenerate: bool
-    min_gap: float
-
-    @property
-    def dim(self):
-        return len(self.values)
-
-
-def hermitian_eig(H):
-    """Eigendecomposition of a Hermitian matrix with a fixed convention.
-
-    Eigenvalues are sorted ascending; ties, closer than GAP_TOL * ||H||_2,
-    are broken by descending magnitude of the first nonzero amplitude of
-    the (phase-fixed) eigenvector. Each eigenvector is rotated so its
-    largest-magnitude component is real positive. So the output is
-    deterministic, and c H gives the frame and flag of H for every c > 0.
-
-    Raises NotHermitianError unless is_hermitian(H). A spectrum with a
-    tie is allowed here and only flagged (degenerate, also for a zero
-    matrix); callers that need a simple spectrum check the flag.
-    """
-    H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    require_hermitian(H, "matrix")  # before the norm, which fails on a NaN
-    gap_tol = GAP_TOL * np.linalg.norm(H, 2)
-    values, vectors = np.linalg.eigh(H)
-    vectors = np.column_stack([fix_phase(vectors[:, n]) for n in range(len(values))])
-
-    # break ties (eigenvalues closer than gap_tol) by descending
-    # |first nonzero amplitude|; clusters, not exact equality, because
-    # eigh splits exact degeneracies by rounding noise
-    def first_amp(n):
-        v = np.abs(vectors[:, n])
-        nz = np.nonzero(v > _AMP_EPS)[0]
-        return v[nz[0]] if len(nz) else 0.0
-
-    k = 0
-    while k < len(values):
-        j = k + 1
-        while j < len(values) and values[j] - values[j - 1] < gap_tol:
-            j += 1
-        if j - k > 1:
-            sub = sorted(range(k, j), key=lambda n: -first_amp(n))
-            values[k:j] = values[sub]
-            vectors[:, k:j] = vectors[:, sub]
-        k = j
-
-    min_gap = float(np.min(np.diff(values))) if len(values) > 1 else np.inf
-    return EigenDecomposition(values, vectors, not min_gap > gap_tol, min_gap)
 
 
 def expm_skew(H, s):

@@ -21,9 +21,13 @@ from .errors import (
     NotGaugeError,
     NotUnitaryError,
 )
-from .linalg import GAP_TOL, hermitian_eig, is_unitary
+from .linalg import is_unitary, require_hermitian
 
 TWO_PI = 2 * np.pi
+GAP_TOL = 1e-9
+
+# amplitudes within this of the largest count as tied for the phase reference
+_AMP_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,19 +65,32 @@ def wrap_angle(x):
 def from_observable(X):
     """Eigenframe of a non-degenerate Hermitian observable.
 
-    The frame inherits the eigensolver's ordering and phase conventions,
-    so the same observable always yields the same frame. X must pass
-    is_hermitian, and an eigen-gap at most GAP_TOL * ||X||_2 is
-    degenerate (hermitian_eig's flag): c X gives the frame of X for
-    every c > 0, and a zero or identity observable is rejected.
+    The kets are eigh's eigenvectors in ascending order of eigenvalue,
+    each rotated so that its largest-magnitude component (ties: the
+    lowest index) is real positive, so the same observable always yields
+    the same frame. X must be square and pass is_hermitian
+    (NotHermitianError). Every eigen-gap must exceed GAP_TOL * ||X||_2
+    (DegenerateSpectrumError): c X gives the frame of X for every c > 0,
+    and a zero or identity observable is rejected.
     """
-    dec = hermitian_eig(X)
-    if dec.degenerate:
+    X = np.asarray(X, dtype=complex)
+    if X.ndim != 2 or X.shape[0] != X.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {X.shape}")
+    require_hermitian(X, "matrix")  # before the norm, which fails on a NaN
+    values, vectors = np.linalg.eigh(X)
+    kets = []
+    for v in vectors.T:
+        # one scalar phase per column: a vectorized division rounds some
+        # frames differently in the last bit
+        m = np.abs(v)
+        j = int(np.argmax(m > m.max() - _AMP_EPS))
+        kets.append(v / (v[j] / abs(v[j])))
+    gap = float(np.min(np.diff(values))) if len(values) > 1 else np.inf
+    if not gap > GAP_TOL * np.linalg.norm(X, 2):
         raise DegenerateSpectrumError(
-            f"observable has eigen-gap {dec.min_gap:.3e}, not above "
-            f"{GAP_TOL:g} times its norm"
+            f"observable has eigen-gap {gap:.3e}, not above {GAP_TOL:g} times its norm"
         )
-    return OrthDecomposition(vectors=dec.vectors)
+    return OrthDecomposition(vectors=np.column_stack(kets))
 
 
 def match_columns(M, tol):

@@ -41,13 +41,6 @@ def inverse(g: GaugeElement):
     return GaugeElement(perm=tuple(inv), phases=tuple(-g.phases[inv[n]] for n in range(g.dim)))
 
 
-# test_bundle and test_obspace still call these as methods; they get them by
-# importing this module, which attaches them to the library classes
-OrthDecomposition.projector = projector
-GaugeElement.compose = compose
-GaugeElement.inverse = inverse
-
-
 def haar_frame(rng, d=2):
     A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     Q, R = np.linalg.qr(A)

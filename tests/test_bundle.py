@@ -24,6 +24,7 @@ from support import (
     exact_rotating_propagator,
     haar_frame,
     make_zero,
+    projector,
 )
 
 TWO_PI = 2 * np.pi
@@ -94,7 +95,7 @@ def test_lift_constant_field_base_curve():
     assert np.allclose(lift.unitaries[0], np.eye(2), atol=1e-12)
     for k in (0, 37, 128):
         t = p.grid[k]
-        P0 = base_at(lift, k).projector(0)
+        P0 = projector(base_at(lift, k), 0)
         # the projected curve keeps diagonal entries and rotates the
         # off-diagonal at the field frequency
         assert abs(P0[0, 0] - np.cos(phi / 2) ** 2) < 1e-12

@@ -591,6 +591,28 @@ def test_sweep_values_are_validated_before_the_csv_is_opened(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_that_cannot_write_its_outputs_exits_2(tmp_path, capsys):
+    path = write_scenario(tmp_path, scenario())
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["run", path, "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+    # the directory exists, but the report's path is a directory
+    (tmp_path / "out" / "t-report.json").mkdir(parents=True)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+
+def test_sweep_that_cannot_write_its_outputs_exits_2(tmp_path, capsys):
+    path = write_scenario(tmp_path, scenario())
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["sweep", path, "--param", "phi", "--range=0.5:1.5:3", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and str(taken) in err
+    assert taken.read_text() == ""
+
+
 # ------------------------------------------- CSV bytes against per-row code
 
 

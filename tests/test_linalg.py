@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obsphase.errors import NotHermitianError
+from obsphase.errors import DegenerateSpectrumError, NotHermitianError
 from obsphase.linalg import (
     HERMITICITY_TOL,
     _asymmetry,
     expm_skew,
     expm_skew_many,
-    fix_phase,
-    hermitian_eig,
     is_hermitian,
     is_unitary,
     matmul_stack,
@@ -21,6 +19,7 @@ from obsphase.linalg import (
     sigma_y,
     sigma_z,
 )
+from obsphase.obspace import from_observable
 from support import ident2, normalize, operator_norm
 
 
@@ -50,77 +49,67 @@ def test_normalize():
         normalize(np.zeros(3))
 
 
+def frame_values(X, F):
+    """The diagonal of F^dagger X F: the eigenvalues in the frame's order."""
+    return np.real(np.diag(F.conj().T @ X @ F))
+
+
 def test_fix_phase_tie_goes_to_lowest_index():
-    v = np.array([1j, -1j]) / np.sqrt(2)
-    w = fix_phase(v)
-    assert np.allclose(w, np.array([1.0, -1.0]) / np.sqrt(2))
+    # both components of each sigma_y eigenvector have magnitude 1/sqrt(2),
+    # so the first one is made real positive
+    F = from_observable(sigma_y).vectors
+    assert np.allclose(F, np.array([[1.0, 1.0], [-1j, 1j]]) / np.sqrt(2), atol=1e-15)
 
 
 def test_eig_sigma_z():
-    dec = hermitian_eig(sigma_z)
-    assert np.allclose(dec.values, [-1.0, 1.0])
-    assert np.allclose(dec.vectors[:, 0], [0.0, 1.0])
-    assert np.allclose(dec.vectors[:, 1], [1.0, 0.0])
-    assert not dec.degenerate
-    assert abs(dec.min_gap - 2.0) < 1e-14
+    F = from_observable(sigma_z).vectors
+    assert np.allclose(frame_values(sigma_z, F), [-1.0, 1.0])
+    assert np.allclose(F[:, 0], [0.0, 1.0])
+    assert np.allclose(F[:, 1], [1.0, 0.0])
 
 
 def test_eig_sigma_x_phase_convention():
-    dec = hermitian_eig(sigma_x)
+    F = from_observable(sigma_x).vectors
     s = 1 / np.sqrt(2)
-    assert np.allclose(dec.vectors[:, 0], [s, -s])
-    assert np.allclose(dec.vectors[:, 1], [s, s])
+    assert np.allclose(F[:, 0], [s, -s])
+    assert np.allclose(F[:, 1], [s, s])
 
 
 def test_eig_qubit_field():
     # H = -(w0 sx + (w1+w) sz)/2 at w0=1, w1=3, w=2: spectrum +/- sqrt(26)/2,
     # and the (cos, sin) half-angle vector belongs to the LOWER eigenvalue
     H = -0.5 * (sigma_x + 5 * sigma_z)
-    dec = hermitian_eig(H)
+    F = from_observable(H).vectors
     half_r = 2.5495097567963922
-    assert np.allclose(dec.values, [-half_r, half_r], atol=1e-12)
+    assert np.allclose(frame_values(H, F), [-half_r, half_r], atol=1e-12)
     phi = 2 * np.arctan(1 / (5 + np.sqrt(26.0)))
     lo = np.array([np.cos(phi / 2), np.sin(phi / 2)])
     hi = np.array([-np.sin(phi / 2), np.cos(phi / 2)])
-    assert np.allclose(dec.vectors[:, 0], lo, atol=1e-12)
-    assert np.allclose(dec.vectors[:, 1], hi, atol=1e-12)
+    assert np.allclose(F[:, 0], lo, atol=1e-12)
+    assert np.allclose(F[:, 1], hi, atol=1e-12)
 
 
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        from_observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_eig_degenerate_flagged():
-    dec = hermitian_eig(np.eye(3))
-    assert dec.degenerate
-    assert dec.min_gap < 1e-15
-
-
-def test_eig_tie_break_orders_by_first_amplitude():
-    # within a degenerate eigenspace the first nonzero amplitudes of the
-    # returned vectors must be non-increasing
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        Q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
-        H = Q @ np.diag([1.0, 1.0, 1.0, 3.0]) @ Q.conj().T
-        dec = hermitian_eig((H + H.conj().T) / 2)
-        amps = []
-        for n in range(3):
-            v = np.abs(dec.vectors[:, n])
-            amps.append(v[np.nonzero(v > 1e-12)[0][0]])
-        assert all(a >= b - 1e-12 for a, b in zip(amps, amps[1:]))
+    with pytest.raises(DegenerateSpectrumError, match=r"eigen-gap 0\.000e\+00, not above 1e-09 times its norm"):
+        from_observable(np.eye(3))
 
 
 def test_eig_reconstruction_random():
     rng = np.random.default_rng(11)
     for d in (2, 3, 5, 8):
         H = random_hermitian(rng, d)
-        dec = hermitian_eig(H)
-        R = dec.vectors @ np.diag(dec.values) @ dec.vectors.conj().T
+        F = from_observable(H).vectors
+        values = frame_values(H, F)
+        R = F @ np.diag(values) @ F.conj().T
         assert np.linalg.norm(R - H) < 1e-8
-        assert np.linalg.norm(dec.vectors.conj().T @ dec.vectors - np.eye(d)) < 1e-12
-        assert np.all(np.diff(dec.values) >= -1e-9)
+        assert np.linalg.norm(F.conj().T @ F - np.eye(d)) < 1e-12
+        assert np.all(np.diff(values) > 0)
+        assert np.allclose(values, np.linalg.eigvalsh(H), atol=1e-12)
 
 
 def test_expm_skew_closed_forms():
@@ -177,7 +166,7 @@ def test_hermiticity_is_one_relative_test_on_a_matrix_or_a_stack():
 
 def test_checks_name_the_shared_tolerance_and_refuse_nan():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    for check in (hermitian_eig, lambda H: expm_skew(H, 1.0), lambda H: expm_skew_many([H], 1.0)):
+    for check in (from_observable, lambda H: expm_skew(H, 1.0), lambda H: expm_skew_many([H], 1.0)):
         with pytest.raises(NotHermitianError, match=r"within 1e-10 of its largest entry \(deviation 1\)"):
             check(bad)
     # the message gives the deviation relative to the largest entry
@@ -247,22 +236,31 @@ def test_normalize_refuses_a_nan_vector():
 
 
 def test_eig_flag_and_frame_do_not_depend_on_the_scale():
-    # the tie and degeneracy tolerance is GAP_TOL * ||H||_2, so c H is
-    # read like H: an absolute 1e-9 would cluster every eigenvalue of
-    # 1e-12 H and call it degenerate
+    # the degeneracy tolerance is GAP_TOL * ||H||_2, so c H is read like
+    # H: an absolute 1e-9 would call every spectrum of 1e-12 H degenerate
     rng = np.random.default_rng(5)
     H = random_hermitian(rng, 4)
     Q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
     D = Q @ np.diag([1.0, 1.0, 2.0]) @ Q.conj().T
     D = (D + D.conj().T) / 2
-    ref = hermitian_eig(H)
-    assert not ref.degenerate
+    ref = from_observable(H).vectors
     for c in 10.0 ** np.arange(-12, 13, 3):
-        dec = hermitian_eig(c * H)
-        assert not dec.degenerate, c
-        assert np.allclose(dec.vectors, ref.vectors, atol=1e-10), c
-        assert hermitian_eig(c * D).degenerate, c
-    assert hermitian_eig(np.zeros((2, 2))).degenerate
+        assert np.allclose(from_observable(c * H).vectors, ref, atol=1e-10), c
+        with pytest.raises(DegenerateSpectrumError):
+            from_observable(c * D)
+    with pytest.raises(DegenerateSpectrumError):
+        from_observable(np.zeros((2, 2)))
+
+
+def test_a_near_degenerate_observable_reports_a_non_negative_gap():
+    # eigh's values ascend, so the smallest gap it reports is never
+    # negative, even where rounding splits the close pair either way
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        Q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        X = Q @ np.diag([1.0, 1.0 + 1e-12, 3.0]) @ Q.conj().T
+        with pytest.raises(DegenerateSpectrumError, match=r"eigen-gap \d\.\d{3}e[+-]\d+, not above"):
+            from_observable((X + X.conj().T) / 2)
 
 
 # multiples of the tolerance for the perturbation of one entry, on both
