@@ -6,12 +6,13 @@ The fixture is the accuracy ladder's rotating field, (w0, w1, w) =
 (1, 3, 2) over one period 2 pi / w with its cyclic observable, at the
 step count where both phase routes are within 1e-8 of the closed form.
 Each stage runs alone on inputs built once with the public obsphase API:
-schedule sampling, step exponentials, the fold to U(T, 0) that a solve
-runs, the stack of running products that a curve reads, the cyclicity
-check, the dynamical integral (from the solve's midpoint samples, as a
-phase report takes it, and by Simpson's rule on fresh samples), and the
-lift with its holonomy; the next test times one whole solve +
-geometric_phases. The last stage is the observable-space metric,
+schedule sampling, step exponentials, the fold to U(T, 0) of a given step
+stack, the stack of running products that a curve reads, one whole solve
+(all of the above but the running products, chunk by chunk, plus the
+integral of h), the cyclicity check, the dynamical integral (from the
+integral matrix the solve summed, as a phase report takes it, and by
+Simpson's rule on fresh samples), and the lift with its holonomy; the
+next test times one whole solve + geometric_phases. The last stage is the observable-space metric,
 distance_DW, on the first Haar pair of default_rng(53), (21) and (22) at
 d = 2, 3 and 4: no propagation, all grid, pairing bounds and Nelder-Mead.
 pytest-benchmark runs each many times and reports their spread. The
@@ -82,19 +83,25 @@ def test_prefix_apply(benchmark, rotating):
     benchmark.pedantic(lambda p: p.unitaries, setup=fresh, rounds=30)
 
 
+def test_solve(benchmark, rotating):
+    # the streamed solve: sampled, exponentiated, folded and integrated in
+    # chunks, with only the step stack N long
+    benchmark(solve, rotating["h"], rotating["T"], STEPS)
+
+
 def test_cyclicity_check(benchmark, rotating):
     benchmark(detect_cyclic, rotating["p"], rotating["X0"])
 
 
 def test_dynamical_integral(benchmark, rotating):
-    # Simpson's rule on fresh samples: a propagator built without samples
+    # Simpson's rule on fresh samples: a propagator built without an integral
     benchmark(dynamical_phase, rotating["h"], rotating["obs"].vectors, rotating["T"], STEPS)
 
 
-def test_dynamical_integral_from_samples(benchmark, rotating):
-    # the end-corrected midpoint rule on the samples the solve took
+def test_dynamical_integral_from_the_solve(benchmark, rotating):
+    # Re <f_n|G|f_n> on the integral G the solve summed from its samples
     h, T, p = rotating["h"], rotating["T"], rotating["p"]
-    benchmark(dynamical_phase, h, rotating["obs"].vectors, T, STEPS, p.samples)
+    benchmark(dynamical_phase, h, rotating["obs"].vectors, T, STEPS, p.integral)
 
 
 def test_lift_and_holonomy(benchmark, rotating):

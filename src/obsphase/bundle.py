@@ -36,7 +36,7 @@ import numpy as np
 from .errors import NotClosedError
 from .linalg import frame_diagonals, matmul_stack
 from .obspace import OrthDecomposition, fiber_contains, match_columns, wrap_angle
-from .propagation import Propagator
+from .propagation import Propagator, chunks
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +102,15 @@ def horizontal_lift(raw: LiftCurve):
     """The horizontal lift with the same starting point: the raw lift
     right-multiplied by the frame-diagonal phases g_k that cancel the
     accumulated connection increments (see the module docstring)."""
-    increments = frame_diagonals(raw.propagator.step_unitaries, raw.frame)
+    S = raw.propagator.step_unitaries
     g = np.zeros((raw.steps + 1, raw.dim))
-    np.cumsum(np.angle(increments), axis=0, out=g[1:])
+    for a, b in chunks(raw.steps):
+        increments = np.angle(frame_diagonals(S[a:b], raw.frame))
+        # after the first chunk the running sum starts from the gauge the
+        # chunk before ended on, so the floats are those of one cumsum
+        if a:
+            increments[0] += g[a]
+        np.cumsum(increments, axis=0, out=g[a + 1 : b + 1])
     return replace(raw, gauge=g)
 
 

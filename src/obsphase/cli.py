@@ -168,9 +168,10 @@ def _check_params(params, system):
 
 
 # bounds one stack of steps + 1 complex d x d matrices, 16 (steps + 1) d^2
-# bytes, not the run: a solved propagator holds two stacks of about that
-# size (the step unitaries and the midpoint samples), and a run that writes
-# a curve adds a third (the steps + 1 running products)
+# bytes, not the run: a solved propagator holds one stack of about that size
+# (the step unitaries; the samples are integrated in chunks into one d x d
+# matrix), and a run that writes a curve adds a second (the steps + 1
+# running products)
 _MAX_STACK_BYTES = 256 * 2**20
 
 
@@ -447,7 +448,6 @@ def run_scenario(sc, out_dir=".", steps=None, tol=None):
         h, T, X0, n = _build_problem(sc, steps)
         p = solve(h, T, steps=n)
         phase_report = geometric_phases(p, h, X0, tol=tol)
-        p.samples = None  # only gamma reads them: free them before the checks and curve
         _fill_phase_fields(report, phase_report)
         if system.gate:
             system.gate(report, sc, p, phase_report)

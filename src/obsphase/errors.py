@@ -58,8 +58,10 @@ class DynamicalResidualError(ObsphaseError):
 
 
 class ScenarioError(ObsphaseError):
-    """A scenario file failed validation. `pointer` locates the offending field."""
+    """A scenario file failed validation. `pointer` locates the offending
+    field; an empty one (the whole deck, or a command-line value) is left
+    out of the message."""
 
     def __init__(self, pointer, message):
         self.pointer = pointer
-        super().__init__(f"{pointer}: {message}")
+        super().__init__(f"{pointer}: {message}" if pointer else message)

@@ -10,12 +10,13 @@ initial eigenstate and beta_n the geometric remainder. beta_n is also,
 independently, the holonomy of the horizontal lift of the projected
 curve; geometric_phases computes both and cross-checks them.
 
-A phase report samples the schedule once: gamma_n is read off the
-midpoint samples the solve integrated (Propagator.samples), by the
-midpoint rule with end corrections on the smooth pieces between the
-schedule's jumps and grid-node kinks, so theta and gamma see the same
-values of h. Simpson's rule on freshly sampled nodes, dynamical_phase
-without samples, is kept as the reference the tests hold it to.
+A phase report samples the schedule once: gamma_n = Re <f_n|G|f_n> is
+read off the integral G of h that the solve summed from the midpoint
+samples it integrated (Propagator.integral), by the midpoint rule with
+end corrections on the smooth pieces between the schedule's jumps and
+grid-node kinks, so theta and gamma see the same values of h. Simpson's
+rule on freshly sampled nodes, dynamical_phase without an integral, is
+kept as the reference the tests hold it to.
 
 The paper's invariances of beta (reparameterization of the cycle, the
 gauge at the start of the lift, the reference frame) are checked in one
@@ -92,35 +93,30 @@ def detect_cyclic(p: propagation.Propagator, X0, tol=CYCLIC_TOL):
     )
 
 
-def dynamical_phase(h: HamiltonianSchedule, psi, T, steps, samples=None):
+def dynamical_phase(h: HamiltonianSchedule, psi, T, steps, integral=None):
     """The integral of t -> <psi| h(t) |psi> over [0, T].
 
     psi is a ket, or a frame with the kets as columns (as in
     OrthDecomposition.vectors), held fixed (the initial eigenvectors);
     a ket gives a float, a frame one integral per column.
 
-    samples, when given, is the (steps, d, d) stack of h at the midpoints
-    of the uniform grid of `steps` intervals (Propagator.samples, what
-    solve integrated), and h is not evaluated: the values
-    y_k = <psi|h_k|psi> are integrated by the midpoint rule with end
-    corrections (Davis & Rabinowitz, Methods of Numerical Integration,
-    1984), on pieces cut at the breakpoints and kinks of h that fall on
-    grid nodes (propagation.grid_node). A piece of n >= 3 steps takes
+    integral, when given, is a d x d matrix G ~ int_0^T h dt
+    (Propagator.integral, which solve reads off the midpoint samples it
+    integrated), and h is not evaluated: the integral of each ket is
+    Re <psi|G|psi>, since it is linear in h.
 
-        dt sum_k y_k + (dt/24) [(2 y_{n-1} - 3 y_{n-2} + y_{n-3})
-                                - (-2 y_0 + 3 y_1 - y_2)],
-
-    fourth order on a smooth piece; a shorter piece takes the plain sum.
-
-    Without samples, composite Simpson on `steps` (even) intervals is
+    Without it, composite Simpson on `steps` (even) intervals is
     applied piecewise between the schedule's jump points so that no
     panel straddles a discontinuity; each piece is sampled in one
     schedule evaluation for all kets and weighted
     (1, 4, 2, ..., 2, 4, 1) * dt / 3.
     """
     psi = np.asarray(psi, dtype=complex)
-    if samples is not None:
-        totals = _midpoint_integral(h, psi.reshape(len(psi), -1), T, steps, samples)
+    if integral is not None:
+        G, d = np.asarray(integral), len(psi)
+        if G.shape != (d, d):
+            raise ValueError(f"need a {d} x {d} integral for kets of {d} entries, got {G.shape}")
+        totals = frame_diagonals(G[None], psi.reshape(d, -1))[0].real
         return totals if psi.ndim == 2 else float(totals[0])
     if steps % 2 != 0:
         raise ValueError("steps must be even for composite Simpson")
@@ -145,26 +141,6 @@ def dynamical_phase(h: HamiltonianSchedule, psi, T, steps, samples=None):
             y = np.einsum("i,kij,j->k", ket.conj(), Hs, ket).real
             totals[k] += (b - a) / n / 3 * (weights @ y)
     return totals if psi.ndim == 2 else float(totals[0])
-
-
-def _midpoint_integral(h, f, T, steps, samples):
-    """The end-corrected midpoint rule of dynamical_phase, for the kets
-    f (d, m) as columns."""
-    if len(samples) != steps:
-        raise ValueError(f"need one sample per step, got {len(samples)} for {steps}")
-    dt = T / steps
-    cuts = {0, steps}
-    for t in h.breakpoints + h.kinks:
-        if 0 < t < T and (k := propagation.grid_node(t, dt)) is not None:
-            cuts.add(k)
-    edges = np.array(sorted(cuts))
-    long = np.diff(edges) >= 3
-    s, e = edges[:-1][long], edges[1:][long]
-    y = frame_diagonals(samples, f)
-    ends = (2 * y[e - 1] - 3 * y[e - 2] + y[e - 3]) + (2 * y[s] - 3 * y[s + 1] + y[s + 2])
-    # the sum over all pieces is the sum over all steps; a matrix product
-    # reduces the complex column faster than any reduction of its real part
-    return (dt * (np.ones(steps) @ y) + dt / 24 * ends.sum(axis=0)).real
 
 
 @dataclass(frozen=True)
@@ -197,10 +173,10 @@ def geometric_phases(
 ):
     """Full phase extraction with the holonomy cross-check.
 
-    p must come from solve(h, ...): the dynamical integral reads the
-    propagator's midpoint samples and cuts them at h's breakpoints and
-    kinks. Raises NotCyclic when the observable does not return, and
-    CrossCheck when h differs from those samples at 9 spread midpoints
+    p must come from solve(h, ...): gamma is read off the integral of h
+    that the solve took from its midpoint samples. Raises NotCyclic when
+    the observable does not return, and CrossCheck when h differs from
+    the propagator's samples at its 9 spread midpoints
     or the two routes to beta disagree beyond cross_tol; a
     NotCyclicError carries the failed CyclicityCheck as its check.
     """
@@ -220,7 +196,7 @@ def geometric_phases(
         )
     obs = cyc.frame
     _require_solved_from(p, h)
-    gamma = dynamical_phase(h, obs.vectors, p.duration, p.steps, p.samples)
+    gamma = dynamical_phase(h, obs.vectors, p.duration, p.steps, p.integral)
     beta_raw = cyc.thetas - gamma
     beta = wrap_angle(beta_raw)
 
@@ -255,9 +231,10 @@ def geometric_phases(
 
 def _require_solved_from(p, h):
     """Raise CrossCheckError unless h gives p's midpoint samples, to 1e-12
-    of their largest entry, at 9 midpoints spread over the grid."""
-    k = np.linspace(0, p.steps - 1, 9).astype(int)
-    want = p.samples[k]
+    of their largest entry, at the 9 midpoints spread over the grid that p
+    keeps."""
+    k = propagation.spread_steps(p.steps)
+    want = p.spread_samples
     # the midpoints as solve computed them
     gap = np.abs(h.eval(p.grid[k] + p.duration / p.steps / 2) - want).max()
     if not gap <= 1e-12 * np.abs(want).max():

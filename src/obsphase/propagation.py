@@ -10,19 +10,26 @@ which is exactly unitary per step, so no re-orthogonalization policy is
 needed; the global error is O(dt^2). U(0, t) is always the adjoint of
 U(t, 0), never separately integrated.
 
-The schedule is sampled at all midpoints in one call, and a propagator
-is held as its step unitaries S_k = U_{k+1} U_k^dag and those midpoint
-samples, which is all the phase extraction reads: the holonomy comes
-from <f_n|S_k|f_n> in the initial frame (see obsphase.bundle), the
-dynamical integral from <f_n|h(t_k + dt/2)|f_n> (see obsphase.phases),
-and the cyclicity check from U(T, 0) alone. U(T, 0) is a nested
+solve walks the grid in chunks of 4096 steps, and handles each chunk
+while it is in cache: its midpoints are sampled in one call, screened,
+exponentiated into the step stack, folded to their block totals, and
+added into the integral G ~ int_0^T h dt. A propagator is held as its
+step unitaries S_k = U_{k+1} U_k^dag, U(T, 0), the d x d matrix G and h
+at 9 spread midpoints, which is all the phase extraction reads: the
+holonomy comes from <f_n|S_k|f_n> in the initial frame (see
+obsphase.bundle), the dynamical integral from <f_n|G|f_n>, since it is
+linear in h (see obsphase.phases), and the cyclicity check from U(T, 0)
+alone. Only the step stack is N long. U(T, 0) is a nested
 sequential fold: the steps are cut into blocks of 16, each block is
 multiplied out in order (all blocks at once, one step position at a
 time), and the block totals are folded the same way, level after level,
 until one product is left. That is 15 batched products per level
 over N/16, N/256, ... matrices, each held as d^2 contiguous entry
-columns, so no LAPACK or BLAS call is made per small matrix. A
-Propagator folds its steps when built; the running products U_k are
+columns, so no LAPACK or BLAS call is made per small matrix. The chunk
+length is a multiple of the block, so no block straddles two chunks,
+and the blocks are those of the whole grid: the fold gives the same
+floats whatever the chunk length. A Propagator built from given step
+unitaries folds them when built; the running products U_k are
 formed only on first access to Propagator.unitaries, by the same fold
 kept at every level: inside a block each prefix is applied to the
 running product coming into the block, and the block ends are the
@@ -38,30 +45,39 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ScheduleDomainError
+from .errors import NotHermitianError, ScheduleDomainError
 from .hamiltonians import HamiltonianSchedule
-from .linalg import expm_skew, expm_skew_many, sigma_x, sigma_z
+from .linalg import expm_skew, expm_skew_many, is_hermitian, sigma_x, sigma_z
 
 DEFAULT_STEPS = 4096
 
 # steps multiplied out in order before their product joins the next level
 _BLOCK = 16
+# steps that solve samples, exponentiates, folds and integrates at a time;
+# a multiple of _BLOCK, so no block straddles two chunks
+_CHUNK = 4096
 
 
 class Propagator:
     """Sampled family U(t_k, 0) on a uniform grid t_0 = 0 ... t_N = T,
-    built from the N step unitaries S_k = U_{k+1} U_k^dag that solve
-    produces, and folded to U(T, 0) when built. samples, when given, is
-    the (N, d, d) stack of h at the step midpoints the steps were
-    taken from; solve passes it, and the dynamical integral reads it.
+    built from the N step unitaries S_k = U_{k+1} U_k^dag.
+
+    solve passes what it read off its midpoint samples h_k on the way:
+    final, U(T, 0) as folded chunk by chunk; integral, the d x d matrix
+    G ~ int_0^T h dt by the end-corrected midpoint rule (see solve); and
+    spread_samples, h_k at the 9 steps spread_steps(N). A propagator
+    built from given step unitaries folds them here and has neither.
     """
 
-    def __init__(self, grid, step_unitaries, samples=None):
+    def __init__(self, grid, step_unitaries, final=None, integral=None, spread_samples=None):
         self.grid = grid
         self.step_unitaries = step_unitaries
-        self.samples = samples
+        self.integral = integral
+        self.spread_samples = spread_samples
         self.dim = step_unitaries.shape[1]
-        self._final = _fold_levels(step_unitaries)[-1][:, :, -1, 0].copy()
+        if final is None:
+            final = _fold_levels(step_unitaries)[-1][:, :, -1, 0]
+        self._final = final.copy()
 
     @property
     def steps(self):
@@ -87,12 +103,37 @@ def grid_node(t, dt):
     return k if abs(t / dt - k) <= 1e-9 else None
 
 
+def chunks(steps):
+    """The step ranges (a, b) that solve works through one at a time:
+    _CHUNK steps each, the last one shorter."""
+    return [(a, min(a + _CHUNK, steps)) for a in range(0, steps, _CHUNK)]
+
+
+def spread_steps(steps):
+    """The 9 steps, spread over the grid, whose midpoint samples a solved
+    Propagator keeps (spread_samples): the floors of k (steps - 1) / 8."""
+    return [k * (steps - 1) // 8 for k in range(9)]
+
+
 def solve(h: HamiltonianSchedule, T, steps=DEFAULT_STEPS):
     """Integrate U(t, 0) over [0, T] with a uniform grid of `steps` intervals.
 
     Jump discontinuities of the schedule must land on grid points (to
     1e-9 of a step, grid_node), so every step integrates a smooth piece;
     otherwise the local midpoint error drops to first order.
+
+    The grid is walked in chunks of _CHUNK steps. Each chunk's midpoint
+    samples h_k are checked to be finite, exponentiated into the step
+    stack, folded to their block totals, and added into the integral
+
+        G = dt sum_k h_k + (dt/24) sum_pieces [(2 h_{e-1} - 3 h_{e-2} + h_{e-3})
+                                             + (2 h_s - 3 h_{s+1} + h_{s+2})],
+
+    the midpoint rule with end corrections (Davis & Rabinowitz, Methods
+    of Numerical Integration, 1984) on the pieces [s, e) cut at the
+    breakpoints and kinks of h that fall on grid nodes: fourth order on
+    a smooth piece of e - s >= 3 steps; a shorter piece takes the plain
+    sum. Only the step stack is N long.
     """
     if steps < 8:
         raise ValueError("steps must be at least 8")
@@ -111,14 +152,73 @@ def solve(h: HamiltonianSchedule, T, steps=DEFAULT_STEPS):
                 f"choose steps so that T/steps divides it"
             )
     grid = np.linspace(0.0, T, steps + 1)
-    mids = grid[:-1] + dt / 2
-    H_mid = h.eval(mids)
-    if not np.isfinite(H_mid).all():
-        finite = np.isfinite(H_mid).all(axis=(1, 2))
-        raise ScheduleDomainError(
-            f"schedule is not finite at t={mids[np.argmin(finite)]:g}"
-        )
-    return Propagator(grid, expm_skew_many(H_mid, dt), H_mid)
+    d, L = h.dim, min(_BLOCK, steps)
+    spread = spread_steps(steps)
+    ends, weights = _end_corrections(h, T, steps)
+    # the samples kept past their chunk: the spread ones, then those the
+    # end corrections weigh
+    keep = spread + ends
+    kept = np.empty((len(keep), d, d), dtype=complex)
+    S = None if steps <= _CHUNK else np.empty((steps, d, d), dtype=complex)
+    block_totals = np.empty((d, d, -(-steps // L)), dtype=complex)
+    total = np.zeros(d * d, dtype=complex)
+    for a, b in chunks(steps):
+        mids = grid[a:b] + dt / 2
+        H = np.asarray(h.eval(mids), dtype=complex)
+        # a matrix product sums the stack faster, and with less rounding,
+        # than a reduction along its first axis; read as reals it needs
+        # no complex weights. A non-finite sample makes the sum non-finite:
+        # only then is the stack screened sample by sample
+        total += (np.ones(b - a) @ H.reshape(b - a, d * d).view(float)).view(complex)
+        if not np.isfinite(total).all():
+            finite = np.isfinite(H).all(axis=(1, 2))
+            if not finite.all():
+                raise ScheduleDomainError(
+                    f"schedule is not finite at t={mids[np.argmin(finite)]:g}"
+                )
+        for i, k in enumerate(keep):
+            if a <= k < b:
+                kept[i] = H[k - a]
+        try:
+            U = expm_skew_many(H, dt)
+        except NotHermitianError as e:
+            # the screen counts generators from the chunk's start: name the step
+            k = np.flatnonzero(~is_hermitian(H))[0]
+            raise NotHermitianError(str(e).replace(f"generator {k} ", f"generator {a + k} ", 1)) from None
+        del H  # the samples are read: free them before the fold allocates
+        if S is None:
+            S = U  # one chunk: the exponentials are the stack
+        else:
+            S[a:b] = U
+        block_totals[:, :, a // L : -(-b // L)] = _block_prefixes(U, L)[:, :, -1]
+    top = block_totals
+    if top.shape[-1] > 1:
+        top = _fold_levels(top.transpose(2, 0, 1))[-1][:, :, -1]
+    total += weights @ kept[len(spread) :].reshape(len(ends), d * d)
+    return Propagator(
+        grid,
+        S,
+        final=top[:, :, 0],
+        integral=dt * total.reshape(d, d),
+        spread_samples=kept[: len(spread)],
+    )
+
+
+def _end_corrections(h, T, steps):
+    """The steps and weights of the end corrections of solve's midpoint
+    rule: (2, -3, 1)/24 from each end of every piece of at least 3 steps."""
+    dt = T / steps
+    cuts = {0, steps}
+    for t in h.breakpoints + h.kinks:
+        if 0 < t < T and (k := grid_node(t, dt)) is not None:
+            cuts.add(k)
+    edges = sorted(cuts)
+    ends, weights = [], []
+    for s, e in zip(edges[:-1], edges[1:]):
+        if e - s >= 3:
+            ends += [s, s + 1, s + 2, e - 1, e - 2, e - 3]
+            weights += [2 / 24, -3 / 24, 1 / 24] * 2
+    return ends, np.array(weights)
 
 
 def _column_product(A, B):
@@ -130,12 +230,11 @@ def _column_product(A, B):
     return out
 
 
-def _block_prefixes(S):
-    """The running products inside blocks of L = min(16, n) consecutive
-    matrices of a stack S (n, d, d), as entry columns C (d, d, L, nb):
+def _block_prefixes(S, L):
+    """The running products inside blocks of L consecutive matrices of a
+    stack S (n, d, d), as entry columns C (d, d, L, nb):
     C[:, :, r, q] = S[qL + r] ... S[qL], with identities past the last."""
     n, d = S.shape[0], S.shape[-1]
-    L = min(_BLOCK, n)
     full, tail = divmod(n, L)
     C = np.empty((d, d, L, full + (tail > 0)), dtype=complex)
     blocks = C.transpose(3, 2, 0, 1)
@@ -149,11 +248,13 @@ def _block_prefixes(S):
 
 
 def _fold_levels(S):
-    """_block_prefixes of S, of its block totals, and so on, up to the
-    level with a single block, whose total is the product of all of S."""
-    levels = [_block_prefixes(S)]
+    """_block_prefixes of S in blocks of min(16, n), of its block totals,
+    and so on, up to the level with a single block, whose total is the
+    product of all of S."""
+    levels = [_block_prefixes(S, min(_BLOCK, len(S)))]
     while levels[-1].shape[-1] > 1:
-        levels.append(_block_prefixes(levels[-1][:, :, -1].transpose(2, 0, 1)))
+        top = levels[-1][:, :, -1].transpose(2, 0, 1)
+        levels.append(_block_prefixes(top, min(_BLOCK, len(top))))
     return levels
 
 

@@ -337,6 +337,19 @@ def test_main_rejects_malformed_json_and_range(tmp_path):
     assert main(["sweep", good, "--param", "phi", "--range", "0:pi:4"]) == 2
 
 
+def test_an_error_without_a_pointer_prints_its_message_alone(tmp_path, capsys):
+    good = write_scenario(tmp_path, scenario())
+    array = tmp_path / "array.json"
+    array.write_text("[]")
+    for argv, message in (
+        (["run", good, "--out", str(tmp_path), "--tol", "-1"], "--tol must be positive and finite, got -1"),
+        (["sweep", good, "--param", "phi", "--range", "1:2"], "range must look like lo:hi:n, got '1:2'"),
+        (["run", str(array), "--out", str(tmp_path)], "scenario must be a JSON object"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_main_steps_override(tmp_path):
     path = write_scenario(tmp_path, scenario(params={"mu_B": 1.0, "phi": 0.5}))
     assert main(["run", path, "--out", str(tmp_path), "--steps", "512"]) == 0

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import obsphase.obspace as obspace
 import obsphase.phases as phases
+import obsphase.propagation as propagation
 from obsphase.errors import (
     CrossCheckError,
     DegenerateSpectrumError,
@@ -446,7 +448,7 @@ def test_the_sample_route_agrees_with_simpson_on_the_ladder_fixtures(steps):
     for h, T, X0 in _ladder_problems():
         p = solve(h, T, steps=steps)
         F = from_observable(X0).vectors
-        got = dynamical_phase(h, F, T, steps, p.samples)
+        got = dynamical_phase(h, F, T, steps, p.integral)
         assert np.max(np.abs(got - dynamical_phase(h, F, T, steps))) <= 1e-13
 
 
@@ -460,7 +462,7 @@ def test_the_sample_route_is_fourth_order():
     for T, rate in ((1.1, (14.0, 17.0)), (TWO_PI / w, (14.0, np.inf))):
         expect = -0.5 * (w0 * np.sin(phi) * np.sin(w * T) / w + w1 * np.cos(phi) * T)
         errors = [
-            abs(dynamical_phase(h, psi, T, n, solve(h, T, steps=n).samples) - expect)
+            abs(dynamical_phase(h, psi, T, n, solve(h, T, steps=n).integral) - expect)
             for n in (32, 64, 128, 256, 512, 1024, 2048)
         ]
         for coarse, fine in zip(errors[:-1], errors[1:]):
@@ -485,18 +487,69 @@ def test_pieces_are_cut_at_kinks_on_nodes_and_short_ones_take_the_plain_sum():
     y = np.einsum("in,kij,jn->kn", F.conj(), h.eval(times), F).real
     exact = ((y[1:] + y[:-1]) / 2 * np.diff(times)[:, None]).sum(axis=0)
     p = solve(h, T, steps=steps)
-    assert np.max(np.abs(dynamical_phase(h, F, T, steps, p.samples) - exact)) <= 1e-13
+    assert np.max(np.abs(dynamical_phase(h, F, T, steps, p.integral) - exact)) <= 1e-13
     # the same table, its kinks known to the schedule only as smooth
     # times, misses the exact value by the kinks' O(dt^2)
     uncut = HamiltonianSchedule(dim=3, kind="Tabulated", domain=h.domain, fn=h.fn)
-    assert np.max(np.abs(dynamical_phase(uncut, F, T, steps, p.samples) - exact)) > 1e-6
+    q = solve(uncut, T, steps=steps)
+    assert np.max(np.abs(dynamical_phase(uncut, F, T, steps, q.integral) - exact)) > 1e-6
 
 
-def test_the_sample_route_needs_one_sample_per_step():
+def test_the_integral_route_refuses_an_integral_of_the_wrong_dimension():
     h = make_constant_z(1.0)
     p = solve(h, 1.0, steps=16)
-    with pytest.raises(ValueError, match="one sample per step"):
-        dynamical_phase(h, np.array([1.0, 0.0]), 1.0, 32, p.samples)
+    with pytest.raises(ValueError, match=r"need a 3 x 3 integral for kets of 3 entries, got \(2, 2\)"):
+        dynamical_phase(h, np.array([1.0, 0.0, 0.0]), 1.0, 16, p.integral)
+
+
+# ------------------------------------------------------- the streamed solve
+
+
+def test_a_phase_report_holds_one_stack_of_steps():
+    # solve walks the grid in chunks and keeps only the step unitaries N
+    # long; the report adds the lift's gauge phases and chunk temporaries
+    w0, w1, w = 1.0, 3.0, 2.0
+    h, X0, steps = make_rotating(w0, w1, w), rotating_observable(w0, w1, w)[0], 65536
+    tracemalloc.start()
+    try:
+        geometric_phases(solve(h, TWO_PI / w, steps=steps), h, X0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 16 * steps * 2**2
+
+
+def _cut_d3_drive(steps):
+    # a tabulated d = 3 drive whose kinks sit on grid nodes at both ends of
+    # the 4096-step chunk boundary, and an observable it returns
+    rng = np.random.default_rng(29)
+    T, knots = 2.0, np.array([0, 5, 3000, 4095, steps])
+    A = rng.normal(size=(len(knots), 3, 3)) + 1j * rng.normal(size=(len(knots), 3, 3))
+    h = make_tabulated(T * knots / steps, A + np.conj(np.swapaxes(A, 1, 2)))
+    V = np.linalg.qr(np.linalg.eig(solve(h, T, steps=steps).final())[1])[0]
+    return h, T, V @ np.diag([1.0, 2.0, 3.5]) @ V.conj().T
+
+
+@pytest.mark.parametrize("steps", [4097, 12289])
+@pytest.mark.parametrize("drive", ["rotating", "tabulated-d3"])
+def test_chunk_boundaries_move_no_bit(monkeypatch, steps, drive):
+    # the fold keeps its 16-step blocks and the gauge its running sum
+    # whatever the chunk length; gamma sums in another order
+    if drive == "rotating":
+        w0, w1, w = 1.0, 3.0, 2.0
+        h, T, X0 = make_rotating(w0, w1, w), TWO_PI / w, rotating_observable(w0, w1, w)[0]
+    else:
+        h, T, X0 = _cut_d3_drive(steps)
+    runs = []
+    for chunk in (16, 2**16):
+        monkeypatch.setattr(propagation, "_CHUNK", chunk)
+        p = solve(h, T, steps=steps)
+        runs.append((p.final(), geometric_phases(p, h, X0)))
+    (final, rep), (final_whole, rep_whole) = runs
+    for a, b in ((final, final_whole), (rep.theta, rep_whole.theta),
+                 (rep.holonomy_beta, rep_whole.holonomy_beta), (rep.lift.gauge, rep_whole.lift.gauge)):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert np.max(np.abs(rep.gamma - rep_whole.gamma)) <= 1e-13
 
 
 def test_geometric_phases_reads_gamma_off_the_solve(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from obsphase import propagation
 from obsphase.errors import (
     DimensionMismatchError,
     NotHermitianError,
@@ -271,6 +272,35 @@ def test_a_non_finite_imaginary_part_alone_is_refused(value, planted, named):
         solve(planted_h, T, steps=64)
 
 
+def test_a_non_hermitian_sample_past_the_first_chunk_is_named_by_its_step(monkeypatch):
+    # the midpoints past t = 2 fail the screen; the first is step 41, in
+    # the third chunk of 16
+    monkeypatch.setattr(propagation, "_CHUNK", 16)
+    h, T = make_rotating(1.0, 3.0, 2.0), np.pi
+
+    def fn(t):
+        H = h.fn(t)
+        H[t > 2.0, 0, 1] += 1.0
+        return H
+
+    bent = HamiltonianSchedule(dim=2, kind="RotatingField", domain=h.domain, fn=fn)
+    with pytest.raises(NotHermitianError, match=r"^generator 41 is not Hermitian"):
+        solve(bent, T, steps=64)
+
+
+def test_a_schedule_of_real_matrices_solves_as_its_complex_copy():
+    # fn may return a float stack; solve reads it as complex, as the step
+    # exponentials always did
+    def real(t):
+        return np.repeat(np.array([[[1.0, 0.5], [0.5, -1.0]]]), len(t), axis=0)
+
+    as_real = HamiltonianSchedule(dim=2, kind="Constant", domain=(0.0, 3.0), fn=real)
+    as_complex = HamiltonianSchedule(dim=2, kind="Constant", domain=(0.0, 3.0), fn=lambda t: real(t) + 0j)
+    p, q = solve(as_real, 2.0, steps=100), solve(as_complex, 2.0, steps=100)
+    assert np.array_equal(p.final(), q.final())
+    assert np.array_equal(p.integral, q.integral)
+
+
 def test_qubit_solves_call_no_eigh(monkeypatch):
     # d = 2 steps take the closed form; larger d one batched eigh per solve
     calls = []
@@ -301,6 +331,13 @@ def test_final_is_the_last_running_product_at_every_fold_depth(steps):
 
 
 def test_a_solve_keeps_its_midpoint_samples():
-    h, T = make_rotating(1.0, 3.0, 2.0), np.pi
-    p = solve(h, T, steps=64)
-    assert np.array_equal(p.samples, h.eval(p.grid[:-1] + T / 64 / 2))
+    # the integral of h by the end-corrected midpoint rule on the samples
+    # the steps were taken from, and those samples at the 9 spread steps
+    h, T, steps = make_rotating(1.0, 3.0, 2.0), np.pi, 64
+    p = solve(h, T, steps=steps)
+    dt = T / steps
+    H = h.eval(p.grid[:-1] + dt / 2)
+    ends = (2 * H[-1] - 3 * H[-2] + H[-3]) + (2 * H[0] - 3 * H[1] + H[2])
+    rule = dt * H.sum(axis=0) + dt / 24 * ends
+    assert np.max(np.abs(p.integral - rule)) <= 1e-14
+    assert np.array_equal(p.spread_samples, H[np.linspace(0, steps - 1, 9).astype(int)])
