@@ -9,10 +9,10 @@ Each stage runs alone on inputs built once with the public obsphase API:
 schedule sampling, step exponentials, the fold to U(T, 0) of a given step
 stack, the stack of running products that a curve reads, one whole solve
 (all of the above but the running products, chunk by chunk, plus the
-integral of h), the cyclicity check, the dynamical integral (from the
-integral matrix the solve summed, as a phase report takes it, and by
-Simpson's rule on fresh samples), and the lift with its holonomy; the
-next test times one whole solve + geometric_phases. The last stage is the observable-space metric,
+integral of h), the cyclicity check, the dynamical integral (read off
+the integral matrix the solve summed, as a phase report takes it), and
+the lift with its holonomy; the next test times one whole solve +
+geometric_phases. The last stage is the observable-space metric,
 distance_DW, on the first Haar pair of default_rng(53), (21) and (22) at
 d = 2, 3 and 4: no propagation, all grid, pairing bounds and Nelder-Mead.
 pytest-benchmark runs each many times and reports their spread. The
@@ -94,14 +94,8 @@ def test_cyclicity_check(benchmark, rotating):
 
 
 def test_dynamical_integral(benchmark, rotating):
-    # Simpson's rule on fresh samples: a propagator built without an integral
-    benchmark(dynamical_phase, rotating["h"], rotating["obs"].vectors, rotating["T"], STEPS)
-
-
-def test_dynamical_integral_from_the_solve(benchmark, rotating):
     # Re <f_n|G|f_n> on the integral G the solve summed from its samples
-    h, T, p = rotating["h"], rotating["T"], rotating["p"]
-    benchmark(dynamical_phase, h, rotating["obs"].vectors, T, STEPS, p.integral)
+    benchmark(dynamical_phase, rotating["obs"].vectors, rotating["p"].integral)
 
 
 def test_lift_and_holonomy(benchmark, rotating):

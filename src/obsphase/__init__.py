@@ -24,7 +24,6 @@ from .errors import (
     ZeroFrequencyError,
 )
 from .linalg import (
-    expm_skew,
     is_hermitian,
     is_unitary,
     sigma_x,

@@ -81,18 +81,6 @@ def is_unitary(U, tol=1e-8):
     return bool(np.linalg.norm(U.conj().T @ U - np.eye(d)) <= tol)
 
 
-def expm_skew(H, s):
-    """exp(-i s H) for Hermitian H, via the eigendecomposition of H.
-
-    The result is unitary to machine precision by construction. H must
-    pass is_hermitian (NotHermitianError otherwise).
-    """
-    H = np.asarray(H, dtype=complex)
-    require_hermitian(H, "generator")
-    w, V = np.linalg.eigh(H)
-    return (V * np.exp(-1j * s * w)) @ V.conj().T
-
-
 def expm_skew_many(Hs, s):
     """exp(-i s H_k), batched, for a stack that passes is_hermitian.
 

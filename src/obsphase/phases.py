@@ -14,9 +14,9 @@ A phase report samples the schedule once: gamma_n = Re <f_n|G|f_n> is
 read off the integral G of h that the solve summed from the midpoint
 samples it integrated (Propagator.integral), by the midpoint rule with
 end corrections on the smooth pieces between the schedule's jumps and
-grid-node kinks, so theta and gamma see the same values of h. Simpson's
-rule on freshly sampled nodes, dynamical_phase without an integral, is
-kept as the reference the tests hold it to.
+grid-node kinks, so theta and gamma see the same values of h. That is
+the package's one route to gamma; Simpson's rule on freshly sampled
+nodes, the reference the tests hold it to, lives in tests/support.py.
 
 The paper's invariances of beta (reparameterization of the cycle, the
 gauge at the start of the lift, the reference frame) are checked in one
@@ -93,53 +93,21 @@ def detect_cyclic(p: propagation.Propagator, X0, tol=CYCLIC_TOL):
     )
 
 
-def dynamical_phase(h: HamiltonianSchedule, psi, T, steps, integral=None):
-    """The integral of t -> <psi| h(t) |psi> over [0, T].
+def dynamical_phase(psi, integral):
+    """The integral of t -> <psi| h(t) |psi> over [0, T], read off the
+    d x d matrix G ~ int_0^T h dt (Propagator.integral, which solve sums
+    from the midpoint samples it integrated) as Re <psi|G|psi>, since it
+    is linear in h.
 
     psi is a ket, or a frame with the kets as columns (as in
     OrthDecomposition.vectors), held fixed (the initial eigenvectors);
     a ket gives a float, a frame one integral per column.
-
-    integral, when given, is a d x d matrix G ~ int_0^T h dt
-    (Propagator.integral, which solve reads off the midpoint samples it
-    integrated), and h is not evaluated: the integral of each ket is
-    Re <psi|G|psi>, since it is linear in h.
-
-    Without it, composite Simpson on `steps` (even) intervals is
-    applied piecewise between the schedule's jump points so that no
-    panel straddles a discontinuity; each piece is sampled in one
-    schedule evaluation for all kets and weighted
-    (1, 4, 2, ..., 2, 4, 1) * dt / 3.
     """
     psi = np.asarray(psi, dtype=complex)
-    if integral is not None:
-        G, d = np.asarray(integral), len(psi)
-        if G.shape != (d, d):
-            raise ValueError(f"need a {d} x {d} integral for kets of {d} entries, got {G.shape}")
-        totals = frame_diagonals(G[None], psi.reshape(d, -1))[0].real
-        return totals if psi.ndim == 2 else float(totals[0])
-    if steps % 2 != 0:
-        raise ValueError("steps must be even for composite Simpson")
-    kets = psi.reshape(len(psi), -1).T
-    cuts = [b for b in h.breakpoints if 0.0 < b < T]
-    edges = [0.0] + cuts + [T]
-    totals = np.zeros(len(kets))
-    for a, b in zip(edges[:-1], edges[1:]):
-        n = max(2, 2 * round(steps * (b - a) / (2 * T)))
-        t = np.linspace(a, b, n + 1)
-        # a segment endpoint sitting on a jump must take the one-sided
-        # limit from inside the segment, not whichever branch eval picks
-        where = t.copy()
-        if a in cuts:
-            where[0] = a + 1e-9 * (b - a)
-        if b in cuts:
-            where[-1] = b - 1e-9 * (b - a)
-        Hs = h.eval(where)
-        weights = np.ones(n + 1)
-        weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
-        for k, ket in enumerate(kets):
-            y = np.einsum("i,kij,j->k", ket.conj(), Hs, ket).real
-            totals[k] += (b - a) / n / 3 * (weights @ y)
+    G, d = np.asarray(integral), len(psi)
+    if G.shape != (d, d):
+        raise ValueError(f"need a {d} x {d} integral for kets of {d} entries, got {G.shape}")
+    totals = frame_diagonals(G[None], psi.reshape(d, -1))[0].real
     return totals if psi.ndim == 2 else float(totals[0])
 
 
@@ -196,7 +164,7 @@ def geometric_phases(
         )
     obs = cyc.frame
     _require_solved_from(p, h)
-    gamma = dynamical_phase(h, obs.vectors, p.duration, p.steps, p.integral)
+    gamma = dynamical_phase(obs.vectors, p.integral)
     beta_raw = cyc.thetas - gamma
     beta = wrap_angle(beta_raw)
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import NotHermitianError, ScheduleDomainError
 from .hamiltonians import HamiltonianSchedule
-from .linalg import expm_skew, expm_skew_many, is_hermitian, sigma_x, sigma_z
+from .linalg import expm_skew_many, is_hermitian, sigma_x, sigma_z
 
 DEFAULT_STEPS = 4096
 
@@ -123,8 +123,9 @@ def solve(h: HamiltonianSchedule, T, steps=DEFAULT_STEPS):
     otherwise the local midpoint error drops to first order.
 
     The grid is walked in chunks of _CHUNK steps. Each chunk's midpoint
-    samples h_k are checked to be finite, exponentiated into the step
-    stack, folded to their block totals, and added into the integral
+    samples h_k are checked to be finite (ScheduleDomainError, as when
+    their running sum overflows), exponentiated into the step stack,
+    folded to their block totals, and added into the integral
 
         G = dt sum_k h_k + (dt/24) sum_pieces [(2 h_{e-1} - 3 h_{e-2} + h_{e-3})
                                              + (2 h_s - 3 h_{s+1} + h_{s+2})],
@@ -168,14 +169,17 @@ def solve(h: HamiltonianSchedule, T, steps=DEFAULT_STEPS):
         # a matrix product sums the stack faster, and with less rounding,
         # than a reduction along its first axis; read as reals it needs
         # no complex weights. A non-finite sample makes the sum non-finite:
-        # only then is the stack screened sample by sample
-        total += (np.ones(b - a) @ H.reshape(b - a, d * d).view(float)).view(complex)
+        # only then is the stack screened sample by sample, and if every
+        # sample is finite, the sum itself has overflowed
+        with np.errstate(over="ignore", invalid="ignore"):
+            total += (np.ones(b - a) @ H.reshape(b - a, d * d).view(float)).view(complex)
         if not np.isfinite(total).all():
             finite = np.isfinite(H).all(axis=(1, 2))
             if not finite.all():
                 raise ScheduleDomainError(
                     f"schedule is not finite at t={mids[np.argmin(finite)]:g}"
                 )
+            raise ScheduleDomainError(f"the integral of the schedule overflows by t={grid[b]:g}")
         for i, k in enumerate(keep):
             if a <= k < b:
                 kept[i] = H[k - a]
@@ -290,4 +294,5 @@ def closed_form_rotating(w0, w1, w, t):
         H = -(1/2) w0 sigma_x - (1/2)(w1 + w) sigma_z.
     """
     H = -0.5 * w0 * sigma_x - 0.5 * (w1 + w) * sigma_z
-    return expm_skew(sigma_z, w * t / 2) @ expm_skew(H, t)
+    U = expm_skew_many(np.stack([sigma_z * (w / 2), H]), t)
+    return U[0] @ U[1]

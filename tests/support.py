@@ -1,13 +1,17 @@
 """Helpers that only the tests call: closed-form propagators, a few
-schedules and the paper's objects that the pipeline never evaluates
+schedules, the paper's objects that the pipeline never evaluates
 (the canonical connection, the Heisenberg evolution, projector-set
 equality, the Bloch chart, the projectors of a frame and the group
-product and inverse of gauge elements). Not collected: the name has no
-test_ prefix.
+product and inverse of gauge elements), and the second routes the
+package's one route to a number is held to: the single-matrix
+exponential by eigh (expm_skew) and the dynamical integral by Simpson's
+rule on freshly sampled h (dynamical_phase without an integral). Not
+collected: the name has no test_ prefix.
 """
 
 import numpy as np
 
+import obsphase.phases as phases
 from obsphase.errors import DimensionMismatchError, NotUnitaryError, ScheduleDomainError
 from obsphase.hamiltonians import UNBOUNDED, HamiltonianSchedule
 from obsphase.linalg import is_unitary, matmul_stack, require_hermitian, sigma_x, sigma_y, sigma_z
@@ -46,6 +50,62 @@ def haar_frame(rng, d=2):
     Q, R = np.linalg.qr(A)
     lam = np.diag(R) / np.abs(np.diag(R))
     return OrthDecomposition(Q * lam[None, :])
+
+
+# -- second routes -------------------------------------------------------------
+
+
+def expm_skew(H, s):
+    """exp(-i s H) for Hermitian H, via the eigendecomposition of H.
+
+    The result is unitary to machine precision by construction. H must
+    pass is_hermitian (NotHermitianError otherwise).
+    """
+    H = np.asarray(H, dtype=complex)
+    require_hermitian(H, "generator")
+    w, V = np.linalg.eigh(H)
+    return (V * np.exp(-1j * s * w)) @ V.conj().T
+
+
+def dynamical_phase(h: HamiltonianSchedule, psi, T, steps, integral=None):
+    """The integral of t -> <psi| h(t) |psi> over [0, T], for a ket psi
+    or a frame with the kets as columns (one integral per column).
+
+    With integral, a d x d matrix G ~ int_0^T h dt, it is the package's
+    phases.dynamical_phase(psi, integral), and h is not evaluated.
+
+    Without it, composite Simpson on `steps` (even) intervals is
+    applied piecewise between the schedule's jump points so that no
+    panel straddles a discontinuity; each piece is sampled in one
+    schedule evaluation for all kets and weighted
+    (1, 4, 2, ..., 2, 4, 1) * dt / 3.
+    """
+    if integral is not None:
+        return phases.dynamical_phase(psi, integral)
+    psi = np.asarray(psi, dtype=complex)
+    if steps % 2 != 0:
+        raise ValueError("steps must be even for composite Simpson")
+    kets = psi.reshape(len(psi), -1).T
+    cuts = [b for b in h.breakpoints if 0.0 < b < T]
+    edges = [0.0] + cuts + [T]
+    totals = np.zeros(len(kets))
+    for a, b in zip(edges[:-1], edges[1:]):
+        n = max(2, 2 * round(steps * (b - a) / (2 * T)))
+        t = np.linspace(a, b, n + 1)
+        # a segment endpoint sitting on a jump must take the one-sided
+        # limit from inside the segment, not whichever branch eval picks
+        where = t.copy()
+        if a in cuts:
+            where[0] = a + 1e-9 * (b - a)
+        if b in cuts:
+            where[-1] = b - 1e-9 * (b - a)
+        Hs = h.eval(where)
+        weights = np.ones(n + 1)
+        weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+        for k, ket in enumerate(kets):
+            y = np.einsum("i,kij,j->k", ket.conj(), Hs, ket).real
+            totals[k] += (b - a) / n / 3 * (weights @ y)
+    return totals if psi.ndim == 2 else float(totals[0])
 
 
 # -- propagators ---------------------------------------------------------------

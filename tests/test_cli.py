@@ -893,6 +893,21 @@ def test_a_duration_that_overflows_is_pointed_at(system, params, pointer, tmp_pa
     assert f"error: {pointer}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "system, params",
+    [
+        ("rotating-field", {"w0": 1.0, "w1": 1e308, "w": 1e308, "steps": 8192}),
+        ("constant-field", {"mu_B": 1.7e308, "phi": 1.0, "steps": 4096}),
+    ],
+)
+def test_a_schedule_whose_integral_overflows_exits_2(system, params, tmp_path, capsys):
+    raw = scenario(system=system, params=params, checks=[])
+    assert main(["run", write_scenario(tmp_path, raw), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: ScheduleDomainError: the integral of the schedule overflows by t=" in err
+    assert not (tmp_path / "t-report.json").exists()
+
+
 def test_a_tiny_field_with_a_given_duration_stays_valid():
     validate_scenario(scenario(params={"mu_B": 5e-324, "phi": 1.0, "T": 1.0}))
 

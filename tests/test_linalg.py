@@ -9,7 +9,6 @@ from obsphase.errors import DegenerateSpectrumError, NotHermitianError
 from obsphase.linalg import (
     HERMITICITY_TOL,
     _asymmetry,
-    expm_skew,
     expm_skew_many,
     is_hermitian,
     is_unitary,
@@ -20,7 +19,7 @@ from obsphase.linalg import (
     sigma_z,
 )
 from obsphase.obspace import from_observable
-from support import ident2, normalize, operator_norm
+from support import expm_skew, ident2, normalize, operator_norm
 
 
 def random_hermitian(rng, d):

@@ -28,12 +28,17 @@ from obsphase.obspace import from_observable
 from obsphase.phases import (
     circular_distance,
     detect_cyclic,
-    dynamical_phase,
     geometric_phases,
     wrap_angle,
 )
 from obsphase.propagation import solve
-from support import exact_constant_propagator, exact_rotating_propagator, make_zero, normalize
+from support import (
+    dynamical_phase,
+    exact_constant_propagator,
+    exact_rotating_propagator,
+    make_zero,
+    normalize,
+)
 
 TWO_PI = 2 * np.pi
 

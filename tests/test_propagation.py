@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,6 +23,7 @@ from obsphase.propagation import closed_form_rotating, solve
 from support import (
     exact_constant_propagator,
     exact_rotating_propagator,
+    expm_skew,
     heisenberg_evolve,
     inverse_at,
     make_zero,
@@ -62,6 +65,16 @@ def test_closed_form_rotating_vs_expm():
     assert np.linalg.norm(closed_form_rotating(w0, w1, w, t) - ref) < 1e-12
     ev = np.linalg.eigvalsh(H)
     assert np.allclose(ev, [-np.sqrt(5) / 2, np.sqrt(5) / 2])
+
+
+def test_closed_form_rotating_vs_the_eigh_reference():
+    # the batched step exponential against the single-matrix eigh route
+    w0, w1, w = 1.0, 3.0, 2.0
+    T = 2 * np.pi / w
+    H = -0.5 * w0 * sigma_x - 0.5 * (w1 + w) * sigma_z
+    for t in (0.0, 0.3, 1.1, T / 2, T):
+        ref = expm_skew(sigma_z, w * t / 2) @ expm_skew(H, t)
+        assert np.abs(closed_form_rotating(w0, w1, w, t) - ref).max() <= 1e-14
 
 
 def test_unitarity_drift():
@@ -251,6 +264,17 @@ def test_non_finite_schedule_samples_are_refused():
     nan_tail = make_warped(h, lambda u: u, lambda u: np.where(u > 1.0, np.nan, 1.0), T)
     with pytest.raises(ScheduleDomainError, match=r"not finite at t=1\.006"):
         solve(nan_tail, T, steps=64)
+
+
+@pytest.mark.parametrize(
+    "h", [make_rotating(1.0, 1e308, 1e308), make_constant_z(1.7e308)], ids=["rotating", "constant"]
+)
+def test_an_integral_that_overflows_is_refused_without_a_warning(h):
+    # every sample is finite, but the first chunk's sum of 4096 is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScheduleDomainError, match=r"^the integral of the schedule overflows by t=0\.5$"):
+            solve(h, 1.0, 8192)
 
 
 @pytest.mark.parametrize("value", [complex(0.0, np.inf), complex(0.0, -np.inf), complex(0.0, np.nan)])
