@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotClosedError
-from .linalg import frame_diagonals, matmul_stack
+from .linalg import frame_diagonals, frame_pairs, matmul_stack
 from .obspace import OrthDecomposition, fiber_contains, match_columns, wrap_angle
 from .propagation import Propagator, chunks
 
@@ -103,9 +103,10 @@ def horizontal_lift(raw: LiftCurve):
     right-multiplied by the frame-diagonal phases g_k that cancel the
     accumulated connection increments (see the module docstring)."""
     S = raw.propagator.step_unitaries
+    pairs = frame_pairs(raw.frame)
     g = np.zeros((raw.steps + 1, raw.dim))
     for a, b in chunks(raw.steps):
-        increments = np.angle(frame_diagonals(S[a:b], raw.frame))
+        increments = np.angle(frame_diagonals(S[a:b], pairs))
         # after the first chunk the running sum starts from the gauge the
         # chunk before ended on, so the floats are those of one cumsum
         if a:

@@ -113,13 +113,18 @@ def expm_skew_many(Hs, s):
     return U
 
 
-def frame_diagonals(Ms, f):
-    """<f_n|M_k|f_n> for a stack Ms (N, d, d) and kets f (d, m) as
-    columns, shape (N, m): sum_ij M_k,ij conj(f_in) f_jn, as one
-    (N, d^2) @ (d^2, m) product."""
-    d = Ms.shape[-1]
-    pairs = (f.conj()[:, None, :] * f[None, :, :]).reshape(d * d, -1)
-    return Ms.reshape(-1, d * d) @ pairs
+def frame_pairs(f):
+    """The (d^2, m) matrix of conj(f_in) f_jn, row i d + j, for kets f
+    (d, m) as columns: what frame_diagonals reads them through."""
+    d = f.shape[0]
+    return (f.conj()[:, None, :] * f[None, :, :]).reshape(d * d, -1)
+
+
+def frame_diagonals(Ms, pairs):
+    """<f_n|M_k|f_n> for a stack Ms (N, d, d) and pairs = frame_pairs(f),
+    shape (N, m): sum_ij M_k,ij conj(f_in) f_jn, as one (N, d^2) @
+    (d^2, m) product."""
+    return Ms.reshape(-1, pairs.shape[0]) @ pairs
 
 
 def matmul_stack(A, B):

@@ -7,6 +7,8 @@ vectors), but its identity is the unordered set of rank-1 projectors:
 ordering and per-vector phases never matter for equality.
 """
 
+import math
+
 import numpy as np
 from dataclasses import dataclass
 from itertools import permutations
@@ -184,9 +186,10 @@ def fiber_contains(U, O: OrthDecomposition, O0: OrthDecomposition):
 
 # -- distance on the observable space ---------------------------------------
 
-# coarse-grid resolution per relative phase at d <= 4; beyond, the grid
-# takes the largest count per axis that keeps it at _MAX_GRID points
-_GRID_POINTS = {2: 64, 3: 16}
+# coarse-grid resolution per relative phase at d = 3 and 4 (d = 2 needs
+# no grid); beyond, the grid takes the largest count per axis that keeps
+# it at _MAX_GRID points
+_GRID_POINTS = {3: 16}
 _MAX_GRID = 4096
 
 
@@ -328,8 +331,8 @@ def _refine(A, start):
 
 def _min_over_phases(A, grid_points, bound):
     # the phase-aligned point puts |A_nn| on the diagonal of U; where its
-    # value meets the pairing's lower bound it is the minimum (always at
-    # d = 2, and for a gauge copy at any d), and nothing is searched
+    # value meets the pairing's lower bound it is the minimum (for a gauge
+    # copy at any d), and nothing is searched
     aligned = -np.angle(np.diag(A))
     at_aligned = _objective_at(A, aligned[1:] - aligned[0])
     if at_aligned <= bound + 1e-12:
@@ -368,12 +371,16 @@ def distance_DW(O: OrthDecomposition, O2: OrthDecomposition):
     every pairing of levels and every choice of per-level phases.
 
     Pairing sigma is bounded below by max_n sqrt(2 - 2 |A_{n, sigma(n)}|),
-    A the overlap matrix, since ||(I - U) e_n||^2 = 2 - 2 Re U_nn. The
-    pairings are visited in ascending bound, and the search stops at the
-    first whose bound is at or above the best value found: no pairing
-    skipped could return less. For d > 4 one pairing is searched, chosen
-    greedily: the largest remaining |A_nm| pairs row n with column m,
-    until every row is used.
+    A the overlap matrix, since ||(I - U) e_n||^2 = 2 - 2 Re U_nn. At
+    d = 2 the bound is attained: with the phases that make the diagonal
+    of U real positive, its eigenvalues are |A_00| +- i |A_01|. So there
+    the distance is the smaller of the two pairings' bounds, taken in
+    closed form from |A| with no eigen-solve and no search. For d >= 3
+    the pairings are visited in ascending bound, and the search stops at
+    the first whose bound is at or above the best value found: no
+    pairing skipped could return less. For d > 4 one pairing is
+    searched, chosen greedily: the largest remaining |A_nm| pairs row n
+    with column m, until every row is used.
 
     Within a pairing only the d - 1 relative phases are searched. The
     global phase turns the spectrum of U rigidly, and the best one
@@ -381,8 +388,8 @@ def distance_DW(O: OrthDecomposition, O2: OrthDecomposition):
     for fixed relative phases ||I - U|| = 2 sin(w / 4), w that arc's
     width. Each pairing first tries the phase-aligned point; if its
     value is within 1e-12 of the bound it is the pairing's minimum. That
-    holds at d = 2 and for a permuted and rephased copy at any d, so
-    both are exact to 1e-12. Otherwise the pairing is refined by
+    holds for a permuted and rephased copy at any d, so such a copy is
+    exact to 1e-12. Otherwise the pairing is refined by
     Nelder-Mead from the minimum of a grid over the relative phases (16
     points per axis at d = 3, 8 at d = 4, and beyond that the largest
     count that keeps the grid at 4096 points or fewer), and again from
@@ -406,11 +413,25 @@ def distance_DW(O: OrthDecomposition, O2: OrthDecomposition):
     d = O.dim
     # the minimum is symmetric in the arguments (U <-> U^dag preserves
     # singular values of I - U); order the pair so both call orders run
-    # the identical computation and return identical floats
-    ka, kb = np.round(O.vectors, 10).tobytes(), np.round(O2.vectors, 10).tobytes()
-    if kb < ka:
+    # the identical computation and return identical floats. The key is
+    # np.round(vectors, 10).tobytes(), taken on the float view: the real
+    # and imaginary parts round alone, to the same bytes, at a third of
+    # the cost. Frames that round alike are ordered by their exact bytes
+    ka, kb = (np.ascontiguousarray(F.vectors).view(float).round(10).tobytes() for F in (O, O2))
+    if (kb, O2.vectors.tobytes()) < (ka, O.vectors.tobytes()):
         O, O2 = O2, O
     A = O.vectors.conj().T @ O2.vectors
+    if d == 2:
+        # each pairing's bound is its minimum, so the smaller one is the
+        # value; 2 - 2|A_nm| is written as pair_bounds below writes it
+        (a, b), (c, e) = np.abs(A).tolist()
+
+        def bound(m, r):  # sqrt(2 - 2 m) for overlap m, r the rest of its row
+            return math.sqrt(2 * r / (1 + m))
+
+        kept = max(bound(a, b * b), bound(e, c * c))
+        swapped = max(bound(b, a * a), bound(c, e * e))
+        return min(kept, swapped)
     overlaps = np.abs(A)
     sigmas = np.array(list(permutations(range(d))) if d <= 4 else [_greedy_pairing(overlaps)])
     # 2 - 2|A_nm| = 2 r_nm / (1 + |A_nm|), with r_nm = 1 - |A_nm|^2 summed

@@ -23,6 +23,7 @@ gauge at the start of the lift, the reference frame) are checked in one
 place, invariance_residuals, which the CLI's report checks call.
 """
 
+import functools
 import itertools
 import math
 
@@ -33,7 +34,7 @@ from . import propagation
 from .bundle import LiftCurve, holonomy, horizontal_lift, lift_from_propagator
 from .errors import CrossCheckError, NotCyclicError
 from .hamiltonians import HamiltonianSchedule, make_quadratic_warp
-from .linalg import frame_diagonals
+from .linalg import frame_diagonals, frame_pairs
 from .obspace import (
     TWO_PI, OrthDecomposition, from_observable, match_columns, random_gauge, wrap_angle
 )
@@ -107,7 +108,7 @@ def dynamical_phase(psi, integral):
     G, d = np.asarray(integral), len(psi)
     if G.shape != (d, d):
         raise ValueError(f"need a {d} x {d} integral for kets of {d} entries, got {G.shape}")
-    totals = frame_diagonals(G[None], psi.reshape(d, -1))[0].real
+    totals = frame_diagonals(G[None], frame_pairs(psi.reshape(d, -1)))[0].real
     return totals if psi.ndim == 2 else float(totals[0])
 
 
@@ -224,7 +225,8 @@ def invariance_residuals(p, h, report: PhaseReport, checks, tol=CYCLIC_TOL):
     duration and steps, "gauge-start" and "reference-frame" lift p from a random
     gauge and a Haar frame drawn from one default_rng(0), all from report's frame."""
     obs = report.lift.reference
-    rng = np.random.default_rng(0)
+    # made on first use, so a run without those checks never loads numpy.random
+    rng = functools.cache(lambda: np.random.default_rng(0))
     out = {}
     for check in checks:
         q, reference, start = p, None, None
@@ -232,9 +234,9 @@ def invariance_residuals(p, h, report: PhaseReport, checks, tol=CYCLIC_TOL):
             # through the module, so that a wrapped propagation.solve sees it
             q = propagation.solve(make_quadratic_warp(h, p.duration), p.duration, steps=p.steps)
         elif check == "gauge-start":
-            start = random_gauge(rng, obs.dim).in_frame(obs)
+            start = random_gauge(rng(), obs.dim).in_frame(obs)
         elif check == "reference-frame":
-            reference = _haar_frame(rng, obs.dim)
+            reference = _haar_frame(rng(), obs.dim)
         else:
             raise ValueError(f"unknown invariance check {check!r}")
         hor = horizontal_lift(lift_from_propagator(q, obs, reference=reference, start=start))

@@ -124,8 +124,9 @@ def solve(h: HamiltonianSchedule, T, steps=DEFAULT_STEPS):
 
     The grid is walked in chunks of _CHUNK steps. Each chunk's midpoint
     samples h_k are checked to be finite (ScheduleDomainError, as when
-    their running sum overflows), exponentiated into the step stack,
-    folded to their block totals, and added into the integral
+    the integral so far overflows, or a step exponential exp(-i dt h_k)
+    because dt h_k does), exponentiated into the step stack, folded to
+    their block totals, and added into the integral
 
         G = dt sum_k h_k + (dt/24) sum_pieces [(2 h_{e-1} - 3 h_{e-2} + h_{e-3})
                                              + (2 h_s - 3 h_{s+1} + h_{s+2})],
@@ -168,12 +169,14 @@ def solve(h: HamiltonianSchedule, T, steps=DEFAULT_STEPS):
         H = np.asarray(h.eval(mids), dtype=complex)
         # a matrix product sums the stack faster, and with less rounding,
         # than a reduction along its first axis; read as reals it needs
-        # no complex weights. A non-finite sample makes the sum non-finite:
-        # only then is the stack screened sample by sample, and if every
-        # sample is finite, the sum itself has overflowed
+        # no complex weights. A non-finite sample makes the integral so
+        # far non-finite: only then is the stack screened sample by
+        # sample, and if every sample is finite, the integral itself has
+        # overflowed
         with np.errstate(over="ignore", invalid="ignore"):
             total += (np.ones(b - a) @ H.reshape(b - a, d * d).view(float)).view(complex)
-        if not np.isfinite(total).all():
+            finite_integral = np.isfinite(dt * total).all()
+        if not finite_integral:
             finite = np.isfinite(H).all(axis=(1, 2))
             if not finite.all():
                 raise ScheduleDomainError(
@@ -183,18 +186,26 @@ def solve(h: HamiltonianSchedule, T, steps=DEFAULT_STEPS):
         for i, k in enumerate(keep):
             if a <= k < b:
                 kept[i] = H[k - a]
-        try:
-            U = expm_skew_many(H, dt)
-        except NotHermitianError as e:
-            # the screen counts generators from the chunk's start: name the step
-            k = np.flatnonzero(~is_hermitian(H))[0]
-            raise NotHermitianError(str(e).replace(f"generator {k} ", f"generator {a + k} ", 1)) from None
-        del H  # the samples are read: free them before the fold allocates
+        # dt h may overflow where the integral does not (the sum of a
+        # turning field cancels): its exponential is then not finite, and
+        # nor are the block totals it is folded into, which are screened
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                U = expm_skew_many(H, dt)
+            except NotHermitianError as e:
+                # the screen counts generators from the chunk's start: name the step
+                k = np.flatnonzero(~is_hermitian(H))[0]
+                raise NotHermitianError(str(e).replace(f"generator {k} ", f"generator {a + k} ", 1)) from None
+            del H  # the samples are read: free them before the fold allocates
+            totals = _block_prefixes(U, L)[:, :, -1]
+        if not np.isfinite(totals).all():
+            k = np.argmin(np.isfinite(U).all(axis=(1, 2)))
+            raise ScheduleDomainError(f"the step exponential of the schedule overflows at t={mids[k]:g}")
         if S is None:
             S = U  # one chunk: the exponentials are the stack
         else:
             S[a:b] = U
-        block_totals[:, :, a // L : -(-b // L)] = _block_prefixes(U, L)[:, :, -1]
+        block_totals[:, :, a // L : -(-b // L)] = totals
     top = block_totals
     if top.shape[-1] > 1:
         top = _fold_levels(top.transpose(2, 0, 1))[-1][:, :, -1]

@@ -961,3 +961,57 @@ def test_a_tabulated_drive_with_close_kinks_passes_the_cross_check(tmp_path, cap
     )
     assert main(["run", write_scenario(tmp_path, raw), "--out", str(tmp_path)]) == 0
     assert read_report(tmp_path, "t")["residuals"]["cross_check"] < 1e-5
+
+
+@pytest.mark.parametrize(
+    "system, params, message",
+    [
+        # 64 finite samples with a finite sum, but dt = 15625 times it is not
+        (
+            "constant-field",
+            {"mu_B": 1e305, "phi": 1.0, "T": 1e6, "steps": 64},
+            "the integral of the schedule overflows by t=1e+06",
+        ),
+        # one turn in 16 steps of 64: the sum cancels, dt h overflows
+        (
+            "rotating-field",
+            {"w0": 1e307, "w1": 0.0, "w": 2 * np.pi / 1024, "steps": 16},
+            "the step exponential of the schedule overflows at t=32",
+        ),
+    ],
+    ids=["constant", "rotating"],
+)
+def test_a_schedule_whose_steps_overflow_exits_2(system, params, message, tmp_path, capsys):
+    raw = scenario(system=system, params=params, checks=[])
+    assert main(["run", write_scenario(tmp_path, raw), "--out", str(tmp_path)]) == 2
+    assert f"error: ScheduleDomainError: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "t-report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "deck, loads",
+    [
+        ("two-loop.json", False),
+        ("tabulated-triangle.json", False),
+        ({"checks": ["reparameterization"]}, False),
+        ({"checks": ["gauge-start"]}, True),
+    ],
+    ids=["two-loop", "tabulated-triangle", "reparameterization", "gauge-start"],
+)
+def test_numpy_random_is_loaded_only_by_a_check_that_draws(deck, loads, tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    if isinstance(deck, str):
+        path = str(root / "demos" / "scenarios" / deck)
+    else:
+        path = write_scenario(tmp_path, scenario(**deck))
+    code = (
+        "import sys\n"
+        "from obsphase.cli import main\n"
+        f"assert main(['run', {path!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.splitlines()[-1] == str(loads)

@@ -514,3 +514,80 @@ def test_objective_at_one_point_is_the_batched_objective_bit_for_bit(seed, d):
         at = obspace._objective_at(A, rel)
         assert type(at) is float
         assert at == float(obspace._eig_objective(A, rel)) == float(value)
+
+
+def _ordered_pair_bound(O, O2):
+    # the d = 2 closed form of the pair in distance_DW's order: the smaller
+    # of the two pairings' bounds, each sqrt(2 - 2|A_nm|) written as
+    # sqrt(2 r / (1 + |A_nm|)) with r = |A_{n, 1 - m}|^2 the rest of row n
+    def key(F):
+        return np.round(F.vectors, 10).tobytes(), F.vectors.tobytes()
+
+    if key(O2) < key(O):
+        O, O2 = O2, O
+    overlaps = np.abs(O.vectors.conj().T @ O2.vectors)
+    bounds = np.sqrt(2 * overlaps[:, ::-1] ** 2 / (1 + overlaps))
+    return float(min(max(bounds[0, 0], bounds[1, 1]), max(bounds[0, 1], bounds[1, 0])))
+
+
+def test_d2_distance_needs_no_eigen_solve_and_no_search(monkeypatch):
+    def boom(*args):
+        raise AssertionError("d = 2 is answered in closed form")
+
+    monkeypatch.setattr(np.linalg, "eigvals", boom)
+    monkeypatch.setattr(obspace, "_objective_at", boom)
+    monkeypatch.setattr(obspace, "_min_over_phases", boom)
+    rng = np.random.default_rng(53)
+    for _ in range(10):
+        O, O2 = haar_frame(rng), haar_frame(rng)
+        assert abs(distance_DW(O, O2) - dw_closed_form(O, O2)) <= 1e-12
+
+
+def _d2_pair(seed, kind):
+    # a Haar pair, a frame and a permuted, rephased copy, or a frame and
+    # one turned by a tiny angle (where sqrt(2 - 2|A_nn|) would lose its digits)
+    rng = np.random.default_rng(seed)
+    F = haar_frame(rng)
+    if kind == "haar":
+        return F, haar_frame(rng)
+    if kind == "gauge":
+        G = F.vectors[:, rng.permutation(2)] * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
+        return F, OrthDecomposition(G)
+    phi = 10.0 ** rng.uniform(-12, -4)
+    return F, OrthDecomposition(half_angle_frame(phi).vectors @ F.vectors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["haar", "gauge", "near"]))
+def test_d2_distance_is_the_same_float_in_both_orders(seed, kind):
+    O, O2 = _d2_pair(seed, kind)
+    D = distance_DW(O, O2)
+    assert type(D) is float
+    assert distance_DW(O2, O) == D
+
+
+@pytest.mark.parametrize("kind", ["haar", "gauge", "near"])
+def test_d2_distance_is_the_closed_form_of_the_ordered_pair(kind):
+    for seed in range(100):
+        O, O2 = _d2_pair(seed, kind)
+        assert distance_DW(O, O2) == _ordered_pair_bound(O, O2)
+
+
+# distance_DW on the first 5 default_rng(21) pairs at d = 3 and the first
+# 2 default_rng(22) pairs at d = 4 (haar_frame), bit for bit: the grid,
+# Nelder-Mead and pruning search, which the d = 2 closed form leaves alone
+PINNED_D3_D4 = {
+    3: (21, ["0x1.175fd9fc38567p-1", "0x1.e9689ae976ff2p-1", "0x1.d474e67365130p-1",
+             "0x1.d68c77319c6bdp-1", "0x1.e96281c53833ap-1"]),
+    4: (22, ["0x1.ef53c4730f3bfp-1", "0x1.f972c03f329d7p-1"]),
+}
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_distance_keeps_its_floats_at_d3_and_d4(d):
+    seed, table = PINNED_D3_D4[d]
+    rng = np.random.default_rng(seed)
+    for k, pinned in enumerate(table):
+        O, O2 = haar_frame(rng, d), haar_frame(rng, d)
+        assert distance_DW(O, O2).hex() == pinned, k
+        assert distance_DW(O2, O).hex() == pinned, k

@@ -365,3 +365,40 @@ def test_a_solve_keeps_its_midpoint_samples():
     rule = dt * H.sum(axis=0) + dt / 24 * ends
     assert np.max(np.abs(p.integral - rule)) <= 1e-14
     assert np.array_equal(p.spread_samples, H[np.linspace(0, steps - 1, 9).astype(int)])
+
+
+def test_an_integral_that_overflows_only_times_dt_is_refused_without_a_warning():
+    # 64 samples of 5e304 sum to a finite 3.2e306, but dt = 15625 times
+    # that (the integral) and dt h (the step exponential) overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScheduleDomainError, match=r"^the integral of the schedule overflows by t=1e\+06$"):
+            solve(make_constant_z(1e305), 1e6, 64)
+
+
+def _turning_field(dim, big_from):
+    # |h_10| = 5e306 from t = big_from on (1 before), turning once every 16
+    # steps of 64: the sum over each 16 steps cancels and stays finite, but
+    # dt h does not
+    w = 2 * np.pi / 1024
+
+    def fn(t):
+        H = np.zeros((len(t), dim, dim), dtype=complex)
+        H[:, 1, 0] = np.where(t < big_from, 1.0, 5e306) * np.exp(1j * w * t)
+        H[:, 0, 1] = H[:, 1, 0].conj()
+        return H
+
+    return HamiltonianSchedule(dim=dim, kind="RotatingField", domain=(0.0, 4096.0), fn=fn)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("chunk, big_from, named", [(4096, 0.0, "32"), (16, 2048.0, "2080")])
+def test_a_step_exponential_that_overflows_is_refused_by_its_time(monkeypatch, dim, chunk, big_from, named):
+    # with chunks of 16, the first step of 5e306 is step 32, in the third chunk
+    monkeypatch.setattr(propagation, "_CHUNK", chunk)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            ScheduleDomainError, match=rf"^the step exponential of the schedule overflows at t={named}$"
+        ):
+            solve(_turning_field(dim, big_from), 4096.0, 64)
