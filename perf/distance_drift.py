@@ -1,0 +1,81 @@
+"""How far distance_DW moves between two source checkouts.
+
+    python perf/distance_drift.py <before checkout> <after checkout>
+
+Each checkout's obsphase is imported from <checkout>/src, in a child
+process of its own, and run on one corpus of frame pairs at d = 3 and 4:
+the 12 pairs of the test table of best known values (the first 10
+default_rng(21) pairs at d = 3 and the first 2 default_rng(22) pairs at
+d = 4), the 5 fixed probes of the observable-distance benchmark
+(`workloads.distance_probes` of the checkout's benchmark/), and 300
+d = 3 and 60 d = 4 default_rng(2024) pairs. The Haar pairs are drawn as
+tests/support.py draws them. Prints how many values rose, fell or stayed
+within 1e-13, the largest rise and the largest fall, and every pair that
+moved by more than that.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+TOL = 1e-13
+
+
+def haar_frame(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))[None, :]
+
+
+def corpus(workloads):
+    """(label, F, G) of every pair, in a fixed order."""
+    for d, seed, pairs in ((3, 21, 10), (4, 22, 2), (3, 2024, 300), (4, 2024, 60)):
+        rng = np.random.default_rng(seed)
+        for k in range(pairs):
+            yield f"rng({seed}) d={d} #{k}", haar_frame(rng, d), haar_frame(rng, d)
+    for name, (d, F, G, *_) in workloads.distance_probes().items():
+        yield f"probe {name}", F, G
+
+
+def values(checkout):
+    """{label: distance_DW} for one checkout, imported in this process."""
+    checkout = Path(checkout).resolve()
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "benchmark")]
+    from obsphase import OrthDecomposition, distance_DW
+    import workloads
+
+    return {
+        label: distance_DW(OrthDecomposition(F), OrthDecomposition(G))
+        for label, F, G in corpus(workloads)
+    }
+
+
+def child(checkout):
+    proc = subprocess.run(
+        [sys.executable, __file__, "--values", str(checkout)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def main(before, after):
+    old, new = child(before), child(after)
+    moves = {label: new[label] - old[label] for label in old}
+    rose = {k: v for k, v in moves.items() if v > TOL}
+    fell = {k: v for k, v in moves.items() if v < -TOL}
+    print(f"{len(moves)} pairs: {len(rose)} rose, {len(fell)} fell, "
+          f"{len(moves) - len(rose) - len(fell)} within {TOL:g}")
+    print(f"largest rise {max(moves.values()):.3e}, largest fall {min(moves.values()):.3e}")
+    for label in sorted({**rose, **fell}, key=moves.get):
+        print(f"  {label}: {old[label]!r} -> {new[label]!r} ({moves[label]:+.3e})")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 3 and sys.argv[1] == "--values":
+        json.dump(values(sys.argv[2]), sys.stdout)
+    elif len(sys.argv) == 3:
+        main(*sys.argv[1:])
+    else:
+        raise SystemExit(__doc__)

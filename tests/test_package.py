@@ -33,16 +33,16 @@ def test_import_loads_neither_optimizer_nor_integrator():
 
 
 def test_distance_refines_without_scipy_optimize():
-    # d = 3 and 4 Haar pairs are refined by Nelder-Mead, which obspace
-    # runs itself
+    # d = 3 and 4 Haar pairs are refined by a descent that obspace runs
+    # itself
     proc = run_python(
         "-c",
         "import sys, numpy as np\n"
         "import obsphase.obspace as obspace\n"
         "from obsphase import OrthDecomposition, distance_DW\n"
         "runs = []\n"
-        "nelder_mead = obspace._nelder_mead\n"
-        "obspace._nelder_mead = lambda *a, **k: runs.append(1) or nelder_mead(*a, **k)\n"
+        "refine = obspace._refine\n"
+        "obspace._refine = lambda *a, **k: runs.append(1) or refine(*a, **k)\n"
         "rng = np.random.default_rng(21)\n"
         "def frame(d):\n"
         "    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))\n"
