@@ -8,9 +8,11 @@ Runs, under the stdlib line tracer, `obsphase run` on the 5 demo decks
 deck over phi, and the 3 demo scripts (demos/*.py). obsphase is first
 imported inside the traced call, so its import-time statements count as
 reached. Prints every statement of src/obsphase that none of them
-reached, leaving out `raise` statements and docstrings, then the line
-count of src/obsphase and the number of defaulted parameters of its
-functions (an AST count). The outputs go to a temporary directory.
+reached, leaving out `raise` statements and docstrings, then every name
+that obsphase exports and no module of src/obsphase, demos/ or
+benchmark/ names, and last the line count of src/obsphase, the number of
+defaulted parameters of its functions and the number of names it
+exports (AST counts). The outputs go to a temporary directory.
 """
 
 import ast
@@ -66,6 +68,34 @@ def defaulted_parameters(tree):
     )
 
 
+def names_used(path):
+    """Every name a module loads, reads as an attribute or imports."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def exports():
+    """(every name obsphase/__init__.py imports, those of them that no
+    other module of src/obsphase, demos/ or benchmark/ names)."""
+    init = PACKAGE / "__init__.py"
+    exported = {
+        alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    callers = [p for p in PACKAGE.glob("*.py") if p != init]
+    callers += [*(ROOT / "demos").rglob("*.py"), *(ROOT / "benchmark").rglob("*.py")]
+    return exported, exported - set().union(*map(names_used, callers))
+
+
 def main():
     sys.path[:0] = [str(ROOT / "src")]
     tracer = trace.Trace(count=1, trace=0)
@@ -82,7 +112,13 @@ def main():
         for first, own in sorted(statements(tree)):
             if not any((path, line) in hit for line in own):
                 print(f"{path.relative_to(ROOT)}:{first}: {text[first - 1].strip()}")
-    print(f"src/obsphase: {lines} lines, {defaults} defaulted parameters")
+    exported, uncalled = exports()
+    for name in sorted(uncalled):
+        print(f"exported, with no caller: {name}")
+    print(
+        f"src/obsphase: {lines} lines, {defaults} defaulted parameters, "
+        f"{len(exported)} exported names"
+    )
 
 
 if __name__ == "__main__":

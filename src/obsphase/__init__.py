@@ -14,7 +14,6 @@ from .errors import (
     DynamicalResidualError,
     NotClosedError,
     NotCyclicError,
-    NotGaugeError,
     NotHermitianError,
     NotUnitaryError,
     ObsphaseError,
@@ -42,7 +41,6 @@ from .hamiltonians import (
 from .propagation import (
     DEFAULT_STEPS,
     Propagator,
-    closed_form_rotating,
     solve,
 )
 from .obspace import (
@@ -51,7 +49,6 @@ from .obspace import (
     distance_DW,
     fiber_contains,
     from_observable,
-    gauge_from_unitary,
     random_gauge,
     wrap_angle,
 )
@@ -75,7 +72,6 @@ from .phases import (
 from .gates import (
     GateSpec,
     cnot_equivalence,
-    commutes,
     two_loop_protocol,
     two_qubit_gate,
     u_phi_beta,

@@ -44,7 +44,7 @@ class NotGaugeError(ObsphaseError):
 class NotCyclicError(ObsphaseError):
     """An evolution is not cyclic at the requested tolerance; `check` is the failed CyclicityCheck."""
 
-    def __init__(self, message, check=None):
+    def __init__(self, message, check):
         self.check = check
         super().__init__(message)
 

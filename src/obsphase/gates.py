@@ -50,16 +50,6 @@ def two_qubit_gate(spec0: GateSpec, spec1: GateSpec):
     return U
 
 
-def commutes(a: GateSpec, b: GateSpec):
-    """Whether the two gates commute: ||[U_a, U_b]||_F <= 1e-9.
-
-    Analytically this holds iff the tilt angles differ by a multiple of
-    pi, or either beta is a multiple of pi.
-    """
-    Ua, Ub = u_phi_beta(a), u_phi_beta(b)
-    return bool(np.linalg.norm(Ua @ Ub - Ub @ Ua) <= 1e-9)
-
-
 def cnot_equivalence(U):
     """Whether U = diag(I, e^{i alpha} sigma_x), i.e. a CNOT up to an
     overall phase on the flipped block, with each 2 x 2 block within

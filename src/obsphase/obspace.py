@@ -17,12 +17,7 @@ from itertools import permutations
 # and the tests install that tracer
 import scipy
 
-from .errors import (
-    DegenerateSpectrumError,
-    DimensionMismatchError,
-    NotGaugeError,
-    NotUnitaryError,
-)
+from .errors import DegenerateSpectrumError, DimensionMismatchError, NotUnitaryError
 from .linalg import is_unitary, require_hermitian
 
 TWO_PI = 2 * np.pi
@@ -147,22 +142,6 @@ class GaugeElement:
         return F @ self.as_unitary() @ F.conj().T
 
 
-def gauge_from_unitary(U):
-    """Recognize a gauge unitary (permutation times phases, each matched
-    amplitude at least 1 - 1e-8) or raise NotGaugeError."""
-    U = np.asarray(U, dtype=complex)
-    if not is_unitary(U):
-        raise NotUnitaryError("gauge candidates must be unitary")
-    perm, amps, ok = match_columns(U, 1e-8)
-    if not ok:
-        raise NotGaugeError(
-            "matrix is not within 1e-08 of a permutation-phase unitary "
-            f"(worst alignment {amps.min():.3e})"
-        )
-    phases = tuple(np.angle(U[perm, np.arange(len(perm))]).tolist())
-    return GaugeElement(perm=tuple(int(p) for p in perm), phases=phases)
-
-
 def random_gauge(rng, dim):
     perm = tuple(int(p) for p in rng.permutation(dim))
     phases = tuple(rng.uniform(0.0, TWO_PI, size=dim))
@@ -221,16 +200,8 @@ def _eig_objective(A, thetas):
 
 
 def _objective_at(A, rel):
-    # _eig_objective at one point, with the same floats: one eigvals, the
-    # angles sorted in place, and the arc width on Python floats
-    full = np.zeros(len(A))
-    full[1:] = rel
-    lam = np.linalg.eigvals(A * np.exp(1j * full))
-    phi = np.arctan2(lam.imag, lam.real)
-    phi.sort()
-    phi = phi.tolist()
-    inner = max(b - a for a, b in zip(phi, phi[1:]))
-    return float(2 * np.sin(min(phi[-1] - phi[0], TWO_PI - inner) / 4))
+    # _eig_objective at one point, as a float
+    return float(_eig_objective(A, rel))
 
 
 # the refine's descent takes at most this many steps: at d = 3 and 4 it

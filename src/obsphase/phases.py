@@ -24,7 +24,6 @@ place, invariance_residuals, which the CLI's report checks call.
 """
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -51,12 +50,15 @@ def circular_distance(a, b):
 
 def multiset_gap(a, b):
     """Smallest worst-case circular distance over pairings of the two
-    phase multisets (levels may come back permuted)."""
+    phase multisets (levels may come back permuted). Around a circle,
+    windows of equal width keep their order, so any pairing within a
+    radius uncrosses into a cyclic shift of the sorted order: only the d
+    shifts are tried, of phases sorted mod 2pi, with the distances taken
+    on the given values."""
     a, b = np.atleast_1d(a), np.atleast_1d(b)
-    best = np.inf
-    for perm in itertools.permutations(range(len(b))):
-        best = min(best, float(np.max(circular_distance(a, b[list(perm)]))))
-    return best
+    a, b, d = a[np.argsort(a % TWO_PI)], b[np.argsort(b % TWO_PI)], len(b)
+    shifts = b[(np.arange(d)[:, None] + np.arange(d)) % d]
+    return float(np.min(np.max(circular_distance(a, shifts), axis=1)))
 
 
 @dataclass(frozen=True)
@@ -131,10 +133,6 @@ class PhaseReport:
     cross_residual: float
     closure_permutation: tuple
     lift: LiftCurve
-
-    @property
-    def dim(self):
-        return len(self.theta)
 
 
 def geometric_phases(

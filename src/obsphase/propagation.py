@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import NotHermitianError, ScheduleDomainError
 from .hamiltonians import HamiltonianSchedule
-from .linalg import expm_skew_many, is_hermitian, sigma_x, sigma_z
+from .linalg import expm_skew_many, is_hermitian
 
 DEFAULT_STEPS = 4096
 
@@ -297,13 +297,3 @@ def _prefix_products(S):
     buf[0] = np.eye(d)
     return buf[: len(S) + 1]
 
-
-def closed_form_rotating(w0, w1, w, t):
-    """Exact propagator of the rotating field at time t:
-
-        U(t, 0) = exp(-i w t sigma_z / 2) exp(-i t H),
-        H = -(1/2) w0 sigma_x - (1/2)(w1 + w) sigma_z.
-    """
-    H = -0.5 * w0 * sigma_x - 0.5 * (w1 + w) * sigma_z
-    U = expm_skew_many(np.stack([sigma_z * (w / 2), H]), t)
-    return U[0] @ U[1]

@@ -1,22 +1,40 @@
 """Helpers that only the tests call: closed-form propagators, a few
 schedules, the paper's objects that the pipeline never evaluates
 (the canonical connection, the Heisenberg evolution, projector-set
-equality, the Bloch chart, the projectors of a frame and the group
-product and inverse of gauge elements), and the second routes the
-package's one route to a number is held to: the single-matrix
-exponential by eigh (expm_skew) and the dynamical integral by Simpson's
-rule on freshly sampled h (dynamical_phase without an integral). Not
-collected: the name has no test_ prefix.
+equality, the Bloch chart, the projectors of a frame, the group
+product and inverse of gauge elements, the gauge element a unitary is
+and whether two gates commute), and the second routes the package's one
+route to a number is held to: the single-matrix exponential by eigh
+(expm_skew), the dynamical integral by Simpson's rule on freshly
+sampled h (dynamical_phase without an integral) and the invariance gap
+by a search over every pairing (multiset_gap). Not collected: the name
+has no test_ prefix.
 """
+
+import itertools
 
 import numpy as np
 
 import obsphase.phases as phases
-from obsphase.errors import DimensionMismatchError, NotUnitaryError, ScheduleDomainError
+from obsphase.errors import (
+    DimensionMismatchError,
+    NotGaugeError,
+    NotUnitaryError,
+    ScheduleDomainError,
+)
+from obsphase.gates import GateSpec, u_phi_beta
 from obsphase.hamiltonians import UNBOUNDED, HamiltonianSchedule
-from obsphase.linalg import is_unitary, matmul_stack, require_hermitian, sigma_x, sigma_y, sigma_z
+from obsphase.linalg import (
+    expm_skew_many,
+    is_unitary,
+    matmul_stack,
+    require_hermitian,
+    sigma_x,
+    sigma_y,
+    sigma_z,
+)
 from obsphase.obspace import GaugeElement, OrthDecomposition, match_columns
-from obsphase.propagation import Propagator, closed_form_rotating
+from obsphase.propagation import Propagator
 
 
 ident2 = np.eye(2, dtype=complex)
@@ -45,6 +63,32 @@ def inverse(g: GaugeElement):
     return GaugeElement(perm=tuple(inv), phases=tuple(-g.phases[inv[n]] for n in range(g.dim)))
 
 
+def gauge_from_unitary(U):
+    """Recognize a gauge unitary (permutation times phases, each matched
+    amplitude at least 1 - 1e-8) or raise NotGaugeError."""
+    U = np.asarray(U, dtype=complex)
+    if not is_unitary(U):
+        raise NotUnitaryError("gauge candidates must be unitary")
+    perm, amps, ok = match_columns(U, 1e-8)
+    if not ok:
+        raise NotGaugeError(
+            "matrix is not within 1e-08 of a permutation-phase unitary "
+            f"(worst alignment {amps.min():.3e})"
+        )
+    phases = tuple(np.angle(U[perm, np.arange(len(perm))]).tolist())
+    return GaugeElement(perm=tuple(int(p) for p in perm), phases=phases)
+
+
+def commutes(a: GateSpec, b: GateSpec):
+    """Whether the two gates commute: ||[U_a, U_b]||_F <= 1e-9.
+
+    Analytically this holds iff the tilt angles differ by a multiple of
+    pi, or either beta is a multiple of pi.
+    """
+    Ua, Ub = u_phi_beta(a), u_phi_beta(b)
+    return bool(np.linalg.norm(Ua @ Ub - Ub @ Ua) <= 1e-9)
+
+
 def haar_frame(rng, d=2):
     A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     Q, R = np.linalg.qr(A)
@@ -65,6 +109,16 @@ def expm_skew(H, s):
     require_hermitian(H, "generator")
     w, V = np.linalg.eigh(H)
     return (V * np.exp(-1j * s * w)) @ V.conj().T
+
+
+def multiset_gap(a, b):
+    """phases.multiset_gap by trying every one of the d! pairings of the
+    two phase multisets."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    best = np.inf
+    for perm in itertools.permutations(range(len(b))):
+        best = min(best, float(np.max(phases.circular_distance(a, b[list(perm)]))))
+    return best
 
 
 def dynamical_phase(h: HamiltonianSchedule, psi, T, steps, integral=None):
@@ -115,6 +169,17 @@ def _from_unitaries(grid, U):
     """The Propagator whose steps S_k = U_{k+1} U_k^dag carry U_0 = I
     through the given unitaries."""
     return Propagator(grid, matmul_stack(U[1:], np.conj(np.swapaxes(U[:-1], 1, 2))))
+
+
+def closed_form_rotating(w0, w1, w, t):
+    """Exact propagator of the rotating field at time t:
+
+        U(t, 0) = exp(-i w t sigma_z / 2) exp(-i t H),
+        H = -(1/2) w0 sigma_x - (1/2)(w1 + w) sigma_z.
+    """
+    H = -0.5 * w0 * sigma_x - 0.5 * (w1 + w) * sigma_z
+    U = expm_skew_many(np.stack([sigma_z * (w / 2), H]), t)
+    return U[0] @ U[1]
 
 
 def exact_rotating_propagator(w0, w1, w, T, steps):

@@ -36,7 +36,6 @@ from obsphase.bundle import holonomy, horizontal_lift, lift_from_propagator
 from obsphase.gates import (
     GateSpec,
     cnot_equivalence,
-    commutes,
     two_loop_protocol,
     two_qubit_gate,
     u_phi_beta,
@@ -47,11 +46,11 @@ from obsphase.obspace import (
     distance_DW,
     fiber_contains,
     from_observable,
-    gauge_from_unitary,
     random_gauge,
 )
 from obsphase.phases import circular_distance, geometric_phases, wrap_angle
-from obsphase.propagation import closed_form_rotating, solve
+from obsphase.propagation import solve
+from support import closed_form_rotating, commutes, gauge_from_unitary
 
 TWO_PI = 2 * np.pi
 

@@ -570,7 +570,7 @@ def test_negative_drive_frequency_runs_one_period(tmp_path):
     from obsphase.gates import cyclic_tilt, tilted_observable
     from obsphase.linalg import sigma_z
     from obsphase.obspace import from_observable
-    from obsphase.propagation import closed_form_rotating
+    from support import closed_form_rotating
 
     w0, w1, w, steps = 1.0, 3.0, -2.0, 4096
     for system in ("rotating-field", "two-loop"):

@@ -7,7 +7,6 @@ from obsphase.errors import DimensionMismatchError, DynamicalResidualError, NotU
 from obsphase.gates import (
     GateSpec,
     cnot_equivalence,
-    commutes,
     read_two_loop_gate,
     rotating_problem,
     two_loop_protocol,
@@ -17,6 +16,7 @@ from obsphase.gates import (
 from obsphase.linalg import sigma_x, sigma_z
 from obsphase.phases import geometric_phases
 from obsphase.propagation import solve
+from support import commutes
 
 
 def circ_dist(a, b):

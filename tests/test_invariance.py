@@ -5,6 +5,7 @@ the reference frame the holonomy is read in."""
 
 import functools
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from obsphase.hamiltonians import make_constant_z, make_warped
 from obsphase.obspace import GaugeElement
 from obsphase.phases import _haar_frame, geometric_phases, invariance_residuals, multiset_gap
 from obsphase.propagation import solve
+from support import multiset_gap as multiset_gap_by_every_pairing
 
 TWO_PI = 2 * np.pi
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
@@ -93,3 +95,53 @@ def test_an_unknown_check_is_rejected():
     p, h, report = _rotating_run()
     with pytest.raises(ValueError, match="gauge_start"):
         invariance_residuals(p, h, report, ["gauge_start"])
+
+
+# ------------------------------------------------ the gap between two multisets
+
+# phases in [0, 2pi): anywhere, on a lattice that makes ties, or at the
+# ends of the branch
+_PHASES = st.one_of(
+    st.floats(0.0, TWO_PI, exclude_max=True),
+    st.integers(0, 7).map(lambda k: k * np.pi / 4),
+    st.sampled_from([0.0, 5e-324, 1e-16, np.pi, np.nextafter(TWO_PI, 0.0)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), d=st.integers(1, 6))
+def test_multiset_gap_is_the_search_over_every_pairing(data, d):
+    a = np.array(data.draw(st.lists(_PHASES, min_size=d, max_size=d)))
+    if data.draw(st.booleans()):
+        b = np.array(data.draw(st.lists(_PHASES, min_size=d, max_size=d)))
+    else:  # a permuted copy, moved by a little or not at all
+        moved = a[data.draw(st.permutations(range(d)))] + data.draw(st.floats(-1e-3, 1e-3))
+        b = moved % TWO_PI
+        b[b == TWO_PI] = 0.0
+    assert multiset_gap(a, b) == multiset_gap_by_every_pairing(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), d=st.integers(1, 6))
+def test_multiset_gap_of_unreduced_phases_is_the_search_over_every_pairing(data, d):
+    # both searches read the same distances off the given values; rounding
+    # can order two near-tied phases differently mod 2pi than their
+    # distances do, which moves the result by a rounding of one distance
+    reals = st.floats(-30.0, 30.0)
+    a = np.array(data.draw(st.lists(reals, min_size=d, max_size=d)))
+    if data.draw(st.booleans()):
+        b = np.array(data.draw(st.lists(reals, min_size=d, max_size=d)))
+    else:  # a permuted copy, each phase moved by 2 pi k
+        k = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
+        b = a[data.draw(st.permutations(range(d)))] + TWO_PI * k
+    ulp = np.spacing(max(np.abs(a).max(), np.abs(b).max(), TWO_PI))
+    assert abs(multiset_gap(a, b) - multiset_gap_by_every_pairing(a, b)) <= 4 * ulp
+
+
+def test_multiset_gap_needs_no_pairing_search():
+    # 9! = 362880 pairings took about 6 s; 9 cyclic shifts take microseconds
+    rng = np.random.default_rng(9)
+    a, b = rng.uniform(0.0, TWO_PI, 9), rng.uniform(0.0, TWO_PI, 9)
+    start = time.process_time()
+    multiset_gap(a, b)
+    assert time.process_time() - start < 0.5

@@ -23,11 +23,18 @@ from obsphase.obspace import (
     distance_DW,
     fiber_contains,
     from_observable,
-    gauge_from_unitary,
     match_columns,
     random_gauge,
 )
-from support import bloch_chart, compose, decompositions_equal, haar_frame, inverse, projector
+from support import (
+    bloch_chart,
+    compose,
+    decompositions_equal,
+    gauge_from_unitary,
+    haar_frame,
+    inverse,
+    projector,
+)
 
 
 def half_angle_frame(phi):

@@ -88,9 +88,8 @@ def _names_used(path):
 
 
 def test_every_exported_name_has_a_caller_besides_the_unit_tests():
-    # the package exports what the pipeline, the demos, the benchmark and
-    # the acceptance tests use; a name that only the other tests call
-    # lives in tests/support.py
+    # the package exports what the pipeline, the demos and the benchmark
+    # use; a name that only the tests call lives in tests/support.py
     package = ROOT / "src" / "obsphase"
     init = package / "__init__.py"
     exported = {
@@ -101,7 +100,6 @@ def test_every_exported_name_has_a_caller_besides_the_unit_tests():
     }
     callers = [p for p in package.glob("*.py") if p != init]
     callers += [*(ROOT / "demos").rglob("*.py"), *(ROOT / "benchmark").rglob("*.py")]
-    callers.append(ROOT / "tests" / "test_acceptance.py")
     used = set().union(*map(_names_used, callers))
     assert sorted(exported - used) == []
 

@@ -32,6 +32,7 @@ from obsphase.phases import (
     wrap_angle,
 )
 from obsphase.propagation import solve
+from test_bundle import _cyclic_d3_drive
 from support import (
     dynamical_phase,
     exact_constant_propagator,
@@ -570,3 +571,84 @@ def test_geometric_phases_reads_gamma_off_the_solve(monkeypatch):
     assert calls == [9]
     want = ROTATING_FIXTURES[(w0, w1, w)]["gamma"]
     assert np.max(np.abs(rep.gamma - want)) < 1e-8
+
+
+# ------------------------- theta = gamma + beta under a level-diagonal drive
+
+
+def _d3_drive(steps):
+    """(schedule, propagator, observable) of test_bundle's _cyclic_d3_drive;
+    geometric_phases refuses a schedule the propagator was not solved from."""
+    p, obs = _cyclic_d3_drive(steps)
+    rng = np.random.default_rng(29)
+    A = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    h = make_tabulated(np.linspace(0.0, 2.0, 5), A + np.conj(np.swapaxes(A, 1, 2)))
+    return h, p, obs.vectors @ np.diag([1.0, 2.0, 3.5]) @ obs.vectors.conj().T
+
+
+@functools.cache
+def _split_fixture(name):
+    """(schedule, propagator, observable, phase report) of a cyclic run at
+    4096 steps."""
+    if name == "rotating":
+        h, T, X0, steps = rotating_problem(1.0, 3.0, 2.0, 4096)
+        p = solve(h, T, steps=steps)
+    elif name == "constant":
+        h, X0 = make_constant_z(1.0), constant_observable(np.pi / 3)
+        p = solve(h, TWO_PI, steps=4096)
+    else:
+        h, p, X0 = _d3_drive(4096)
+    return h, p, X0, geometric_phases(p, h, X0)
+
+
+def _level_diagonal_drive(h, T, F, a, b):
+    """(h', alpha(T)) for h' = E^dag h E + sum_n alpha_n' |f_n><f_n| with
+    E = sum_n e^{i alpha_n} |f_n><f_n|, the f_n the columns of F and
+
+        alpha_n(t) = sum_m a_nm sin(k_m t) + b_nm (1 - cos(k_m t)),
+
+    k_m = (m - 1/2) pi / T, so alpha(0) = 0; the modes are not periodic
+    on [0, T], so no quadrature integrates alpha' exactly by symmetry.
+    h' keeps the jumps and kinks of h."""
+    k = (np.arange(1, a.shape[1] + 1) - 0.5) * np.pi / T
+
+    def alpha(t):
+        kt = np.multiply.outer(t, k)
+        return np.sin(kt) @ a.T + (1 - np.cos(kt)) @ b.T
+
+    def fn(t):
+        kt = np.multiply.outer(t, k)
+        rate = (k * np.cos(kt)) @ a.T + (k * np.sin(kt)) @ b.T
+        E = (F * np.exp(1j * alpha(t))[:, None, :]) @ F.conj().T
+        return np.conj(np.swapaxes(E, 1, 2)) @ h.fn(t) @ E + (F * rate[:, None, :]) @ F.conj().T
+
+    drive = HamiltonianSchedule(h.dim, h.kind, h.domain, fn, h.breakpoints, h.kinks)
+    return drive, alpha(np.array([T]))[0]
+
+
+@pytest.mark.parametrize("fixture", ["rotating", "constant", "tabulated-d3"])
+@settings(max_examples=10, deadline=None)
+@given(modes=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12))
+def test_a_level_diagonal_drive_moves_gamma_and_theta_and_not_beta(fixture, modes):
+    # the paper's split theta = gamma + beta: E(t) commutes with X0 and
+    # E(0) = I, so h' evolves as U'(t) = E(t)^dag U(t) and X(t) = U^dag X0 U
+    # is the same curve. gamma_n and theta_n both move by alpha_n(T), and
+    # the geometric part stays put on both routes
+    h, p, X0, want = _split_fixture(fixture)
+    F, T = want.lift.reference.vectors, p.duration
+    d = len(F)
+    a, b = np.reshape(modes[: 2 * d], (d, 2)), np.reshape(modes[2 * d : 4 * d], (d, 2))
+    h2, shift = _level_diagonal_drive(h, T, F, a, b)
+    got = geometric_phases(solve(h2, T, steps=p.steps), h2, X0)
+    # <f_n|h'|f_n> = <f_n|h|f_n> + alpha_n' at every sample, so gamma moves
+    # by the fourth-order quadrature of alpha_n' alone (measured within 1.1e-13)
+    assert np.max(np.abs(got.gamma - want.gamma - shift)) <= 1e-12
+    # each run carries the midpoint exponential's O(dt^2) error, allowed as
+    # width^3 T dt^2 / 12 with width the largest spread of either spectrum
+    # (measured at most 0.05 of it)
+    grid = np.linspace(0.0, T, 257)
+    width = max(np.ptp(np.linalg.eigvalsh(s.eval(grid)), axis=1).max() for s in (h, h2))
+    allowance = width**3 * T * (T / p.steps) ** 2 / 12
+    assert np.max(circular_distance(got.theta - want.theta, shift)) <= allowance
+    assert np.max(circular_distance(got.beta, want.beta)) <= allowance
+    assert np.max(circular_distance(got.holonomy_beta, want.holonomy_beta)) <= allowance

@@ -19,8 +19,9 @@ from obsphase.hamiltonians import (
     make_warped,
 )
 from obsphase.linalg import expm_skew_many, sigma_x, sigma_y, sigma_z
-from obsphase.propagation import closed_form_rotating, solve
+from obsphase.propagation import solve
 from support import (
+    closed_form_rotating,
     exact_constant_propagator,
     exact_rotating_propagator,
     expm_skew,
