@@ -10,8 +10,8 @@ d = 4), the 5 fixed probes of the observable-distance benchmark
 (`workloads.distance_probes` of the checkout's benchmark/), and 300
 d = 3 and 60 d = 4 default_rng(2024) pairs. The Haar pairs are drawn as
 tests/support.py draws them. Prints how many values rose, fell or stayed
-within 1e-13, the largest rise and the largest fall, and every pair that
-moved by more than that.
+within 1e-13, how many are bit-identical, the largest rise and the
+largest fall, and every pair that moved by more than 1e-13.
 """
 
 import json
@@ -66,7 +66,8 @@ def main(before, after):
     rose = {k: v for k, v in moves.items() if v > TOL}
     fell = {k: v for k, v in moves.items() if v < -TOL}
     print(f"{len(moves)} pairs: {len(rose)} rose, {len(fell)} fell, "
-          f"{len(moves) - len(rose) - len(fell)} within {TOL:g}")
+          f"{len(moves) - len(rose) - len(fell)} within {TOL:g}, "
+          f"{sum(new[k] == old[k] for k in old)} bit-identical")
     print(f"largest rise {max(moves.values()):.3e}, largest fall {min(moves.values()):.3e}")
     for label in sorted({**rose, **fell}, key=moves.get):
         print(f"  {label}: {old[label]!r} -> {new[label]!r} ({moves[label]:+.3e})")

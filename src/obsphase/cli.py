@@ -491,6 +491,9 @@ def _fill_phase_fields(report, phase_report):
 
 
 def _parse_range(spec):
+    """The values of --range lo:hi:n: n >= 1 evenly spaced floats from lo
+    to hi inclusive, their 8 n bytes within the stack cap of 256 MiB (n is
+    checked before anything is allocated)."""
     parts = spec.split(":")
     try:
         lo, hi = float(parts[0]), float(parts[1])
@@ -499,6 +502,8 @@ def _parse_range(spec):
             raise ValueError
     except (ValueError, IndexError):
         raise ScenarioError("", f"range must look like lo:hi:n, got {spec!r}")
+    limit = _MAX_STACK_BYTES // 8
+    _want(1 <= count <= limit, "", f"--range needs 1 to {limit} points (256 MiB of values), got {spec!r}")
     _want(_is_real(lo) and _is_real(hi), "", f"range bounds must be finite, got {spec!r}")
     return np.linspace(lo, hi, count)
 
@@ -513,9 +518,10 @@ def sweep_scenario(sc, param, values, out_dir=".", steps=None, tol=None):
         f"/params/{param}",
         f"not a sweepable parameter of system {sc['system']}",
     )
-    row_params = [dict(sc["params"], **{param: float(value)}) for value in values]
-    for params in row_params:
-        _check_params(params, sc["system"])
+    # every row is checked before the CSV is opened; a row's parameters are
+    # built again when it runs, so only the values are held n long
+    for value in values:
+        _check_params(dict(sc["params"], **{param: float(value)}), sc["system"])
 
     os.makedirs(out_dir, exist_ok=True)
     dim = sc["_X0"].shape[0] if "_X0" in sc else 2
@@ -529,7 +535,8 @@ def sweep_scenario(sc, param, values, out_dir=".", steps=None, tol=None):
     )
     with open(path, "w") as f:
         f.write(header + "\n")
-        for value, params in zip(values, row_params):
+        for value in values:
+            params = dict(sc["params"], **{param: float(value)})
             h, T, X0, n = _build_problem(dict(sc, params=params), steps)
             p = solve(h, T, steps=n)
             cells = [_fmt(value)]

@@ -9,6 +9,7 @@ import pytest
 
 from obsphase import geometric_phases, solve
 from obsphase.cli import (
+    _parse_range,
     load_scenario,
     main,
     run_scenario,
@@ -476,6 +477,22 @@ def test_main_rejects_non_finite_json_range_and_tolerance(tmp_path, capsys):
     for tol in ("0", "-1e-6", "nan", "inf"):
         assert main(["run", good, "--out", str(tmp_path), f"--tol={tol}"]) == 2
     assert main(["run", good, "--out", str(tmp_path), "--tol=1e-5"]) == 0
+
+
+def test_sweep_rejects_an_empty_or_oversized_range_before_allocating(tmp_path, capsys):
+    # a trillion values would take 8 TB: the count is checked before the
+    # values exist, so this run allocates nothing; no point would write a
+    # CSV with only its header
+    good = write_scenario(tmp_path, scenario())
+    out = tmp_path / "out"
+    for spec in ("1:2:1000000000000", "1:2:0"):
+        argv = ["sweep", good, "--param", "phi", "--range", spec, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --range needs 1 to 33554432 points") and spec in err
+    assert not out.exists()
+    with pytest.raises(ScenarioError, match="--range"):
+        _parse_range("0:1:33554433")  # one past 256 MiB of float64
 
 
 # ---------------------------------------------------------- one solve per run

@@ -1,9 +1,10 @@
 import time
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -590,6 +591,70 @@ def test_a_refine_makes_at_most_80_eigen_solves(monkeypatch):
             distance_DW(O, O2)
             distance_DW(O2, O)
     assert per_refine and max(per_refine) <= 80, per_refine
+
+
+def test_d3_and_d4_grids_make_no_batched_eigen_solve(monkeypatch):
+    # on the pinned pairs every grid point is read by radicals: the only
+    # eigen-solves left are of one point each (aligned points, the grid
+    # minimum and the refine)
+    batched, refines = [0], [0]
+    eigvals, refine = np.linalg.eigvals, obspace._refine
+
+    def counted_eigvals(a):
+        batched[0] += np.ndim(a) > 2
+        return eigvals(a)
+
+    def counted_refine(A, start):
+        refines[0] += 1
+        return refine(A, start)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(obspace, "_refine", counted_refine)
+    for d, (seed, table) in PINNED_D3_D4.items():
+        rng = np.random.default_rng(seed)
+        for _ in table:
+            distance_DW(haar_frame(rng, d), haar_frame(rng, d))
+    assert refines[0] >= len(PINNED_D3_D4[3][1]) + len(PINNED_D3_D4[4][1])
+    assert batched[0] == 0
+
+
+def _kernel_input(seed, d, kind):
+    # a Haar A; a permuted ("monomial") or plain diagonal A with phases on
+    # the grid, so that A D(theta) has double or triple eigenvalues at some
+    # grid points (a diagonal A makes it scalar at one); or a monomial A
+    # turned by exp(i eps H), which splits those roots by about eps
+    rng = np.random.default_rng(seed)
+    if kind == "haar":
+        return haar_frame(rng, d).vectors
+    n = obspace._grid_points(d)
+    perm = np.arange(d) if kind == "diagonal" else rng.permutation(d)
+    A = np.eye(d)[:, perm] * np.exp(2j * np.pi / n * rng.integers(0, n, d))
+    if kind == "near":
+        H = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        w, V = np.linalg.eigh(H + H.conj().T)
+        A = (V * np.exp(1j * 10.0 ** rng.uniform(-12, -3) * w)) @ V.conj().T @ A
+    return A
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([3, 4]),
+    kind=st.sampled_from(["haar", "monomial", "diagonal", "near"]),
+)
+@example(seed=0, d=3, kind="diagonal")
+@example(seed=0, d=4, kind="diagonal")
+def test_radical_grid_matches_lapack(seed, d, kind):
+    A = _kernel_input(seed, d, kind)
+    rel = obspace._phase_grid(d, obspace._grid_points(d))[:, 1:]
+    reference = obspace._eig_objective(A, rel)
+    with mock.patch.object(obspace, "_eig_objective", wraps=obspace._eig_objective) as lapack:
+        values = obspace._radical_objective(A, rel)
+    assert np.abs(values - reference).max() <= 1e-12
+    k, value = obspace._grid_min(A, rel)
+    assert k == np.argmin(reference) and value == reference[k]
+    if kind == "diagonal":  # the scalar point's repeated root is read through LAPACK
+        assert lapack.called
 
 
 # distance_DW on the first 6 default_rng(3) pairs (_haar_frame) at d = 14,
