@@ -7,11 +7,13 @@ process of its own, and run on one corpus of frame pairs at d = 3 and 4:
 the 12 pairs of the test table of best known values (the first 10
 default_rng(21) pairs at d = 3 and the first 2 default_rng(22) pairs at
 d = 4), the 5 fixed probes of the observable-distance benchmark
-(`workloads.distance_probes` of the checkout's benchmark/), and 300
-d = 3 and 60 d = 4 default_rng(2024) pairs. The Haar pairs are drawn as
-tests/support.py draws them. Prints how many values rose, fell or stayed
-within 1e-13, how many are bit-identical, the largest rise and the
-largest fall, and every pair that moved by more than 1e-13.
+(`workloads.distance_probes` of the checkout's benchmark/), 300 d = 3
+and 60 d = 4 default_rng(2024) pairs, and 300 d = 3 and 100 d = 4
+default_rng(99) pairs: 777 in all. Each (d, seed) draws from a generator
+of its own, and the Haar pairs are drawn as tests/support.py draws them.
+Prints how many values rose, fell or stayed within 1e-13, how many are
+bit-identical, the largest rise and the largest fall, and every pair
+that moved by more than 1e-13.
 """
 
 import json
@@ -31,7 +33,8 @@ def haar_frame(rng, d):
 
 def corpus(workloads):
     """(label, F, G) of every pair, in a fixed order."""
-    for d, seed, pairs in ((3, 21, 10), (4, 22, 2), (3, 2024, 300), (4, 2024, 60)):
+    for d, seed, pairs in ((3, 21, 10), (4, 22, 2), (3, 2024, 300), (4, 2024, 60),
+                           (3, 99, 300), (4, 99, 100)):
         rng = np.random.default_rng(seed)
         for k in range(pairs):
             yield f"rng({seed}) d={d} #{k}", haar_frame(rng, d), haar_frame(rng, d)

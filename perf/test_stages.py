@@ -17,7 +17,8 @@ distance_DW, on the first Haar pair of default_rng(53), (21) and (22) at
 d = 2, 3 and 4: no propagation; d = 2 is a closed form, and d = 3 and 4
 are all grid, pairing bounds and the BFGS refine. The grid stage times
 the d = 3 and 4 coarse grid alone on the same pairs (their unpermuted
-pairing): every point's value and the start picked from them.
+pairing): one batched LAPACK eigen-solve over 8 (d = 3) or 4 (d = 4)
+points per axis, 64 points each, and the start picked from them.
 pytest-benchmark runs each many times and reports their spread. The
 suite is not collected by the default test run (testpaths = tests).
 """

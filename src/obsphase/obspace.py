@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 
 # unused here: benchmark/tracing.py wraps obspace.scipy.optimize.minimize,
 # and the tests install that tracer
@@ -73,7 +73,7 @@ def from_observable(X):
     X = np.asarray(X, dtype=complex)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {X.shape}")
-    require_hermitian(X, "matrix")  # before the norm, which fails on a NaN
+    require_hermitian(X, "matrix")  # first: a NaN would fail the gap test as degenerate
     values, vectors = np.linalg.eigh(X)
     kets = []
     for v in vectors.T:
@@ -83,7 +83,7 @@ def from_observable(X):
         j = int(np.argmax(m > m.max() - _AMP_EPS))
         kets.append(v / (v[j] / abs(v[j])))
     gap = float(np.min(np.diff(values))) if len(values) > 1 else np.inf
-    if not gap > GAP_TOL * np.linalg.norm(X, 2):
+    if not gap > GAP_TOL * np.abs(values).max():  # ||X||_2 of a Hermitian X
         raise DegenerateSpectrumError(
             f"observable has eigen-gap {gap:.3e}, not above {GAP_TOL:g} times its norm"
         )
@@ -165,16 +165,16 @@ def fiber_contains(U, O: OrthDecomposition, O0: OrthDecomposition):
 
 # -- distance on the observable space ---------------------------------------
 
-# coarse-grid resolution per relative phase at d = 3 and 4 (d = 2 needs
-# no grid); beyond, the grid takes the largest count per axis that keeps
-# it at _MAX_GRID points
-_GRID_POINTS = {3: 16}
+# coarse-grid resolution per relative phase at d = 3 and 4, 64 points
+# each (d = 2 needs no grid); beyond, the grid takes the largest count per
+# axis that keeps it at _MAX_GRID points
+_GRID_POINTS = {3: 8, 4: 4}
 _MAX_GRID = 4096
 
 
 def _grid_points(d):
     if d <= 4:
-        return _GRID_POINTS.get(d, 8)
+        return _GRID_POINTS[d]
     n = 1
     while (n + 1) ** (d - 1) <= _MAX_GRID:
         n += 1
@@ -198,8 +198,7 @@ def _eig_objective(A, thetas):
     # centres on 1 the smallest arc holding it, so the value is
     # 2 sin(w / 4) with w that arc's width, from LAPACK's eigenvalues.
     # thetas holds the d - 1 relative phases (theta_0 = 0) over its last
-    # axis, for a stack of points or a single one. The d = 3 and 4 grids
-    # take their values from _radical_objective instead
+    # axis, for a stack of points (a whole grid in one call) or a single one
     thetas = np.asarray(thetas, dtype=float)
     full = np.concatenate([np.zeros(thetas.shape[:-1] + (1,)), thetas], axis=-1)
     return _arc_objective(np.linalg.eigvals(A * np.exp(1j * full)[..., None, :]))
@@ -208,84 +207,6 @@ def _eig_objective(A, thetas):
 def _objective_at(A, rel):
     # _eig_objective at one point, as a float
     return float(_eig_objective(A, rel))
-
-
-_CUBE_ROOTS_OF_1 = np.exp(2j * np.pi / 3 * np.arange(3))
-
-
-def _cubic_roots(a, b, c):
-    # the roots of x^3 + a x^2 + b x + c by Cardano's formula, for stacks
-    # of complex coefficients, over the last axis: with x = t - a / 3,
-    # t^3 + p t + q = 0 has the roots w u - p / (3 w u), w^3 = 1, for u^3
-    # = -q / 2 +- sqrt(q^2 / 4 + p^3 / 27), the sign taken that keeps
-    # |u^3| largest (u = 0 only at a triple root, which yields NaNs)
-    a3 = a / 3
-    p = b - a * a3
-    h = (a3 * b - c) / 2 - a3 * a3 * a3
-    disc = np.sqrt(h * h + p * p * p / 27)
-    u = np.where(np.abs(h + disc) >= np.abs(h - disc), h + disc, h - disc) ** (1 / 3)
-    v = -p / (3 * u)
-    return u[..., None] * _CUBE_ROOTS_OF_1 + v[..., None] * _CUBE_ROOTS_OF_1.conj() - a3[..., None]
-
-
-def _quartic_roots(a, b, c, e):
-    # the roots of x^4 + a x^3 + b x^2 + c x + e by Ferrari's method: with
-    # x = y - a / 4, y^4 + p y^2 + q y + r = (y^2 + m)^2 - (s y - q / 2s)^2
-    # for s^2 = 2 m - p and m a root of the resolvent cubic
-    # m^3 - p m^2 / 2 - r m + p r / 2 - q^2 / 8, the one with |s| largest;
-    # the two quadratic factors give the roots
-    a4 = a / 4
-    aa = a4 * a4
-    p = b - 6 * aa
-    q = c - 2 * b * a4 + 8 * aa * a4
-    r = e - c * a4 + b * aa - 3 * aa * aa
-    m = _cubic_roots(-p / 2, -r, p * r / 2 - q * q / 8)
-    k = np.argmax(np.abs(2 * m - p[..., None]), axis=-1)
-    m = np.take_along_axis(m, k[..., None], axis=-1)[..., 0]
-    s = np.sqrt(2 * m - p)
-    g, t = -(2 * m + p), 2 * q / s
-    d1, d2 = np.sqrt(g - t), np.sqrt(g + t)
-    return np.stack([s + d1, s - d1, d2 - s, -s - d2], axis=-1) / 2 - a4[..., None]
-
-
-def _radical_objective(A, thetas):
-    # _eig_objective over a stack of points at d = 3 or 4, with no LAPACK
-    # call per point. The characteristic polynomial of A D(theta) has
-    # the coefficients (-1)^k sum_{|S| = k} det A_SS prod_{n in S} e^{i theta_n},
-    # A_SS the principal submatrices; its roots are taken by radicals
-    # and polished by two Newton steps. A root moves by about e / |p'|
-    # when the coefficients move by e (their rounding, near 1e-15), so at
-    # a repeated root it is lost even where Newton's step is nil; with
-    # |p'| >= 0.01 the values were within 1e-13 of LAPACK's as measured.
-    # A point is read through LAPACK instead where a root has |p'| < 0.01,
-    # a last step above 1e-13 or a non-finite value, where a root strays
-    # more than 1e-10 from the unit circle, or where the roots miss the
-    # trace by more than 1e-12
-    d = len(A)
-    z = np.exp(1j * np.concatenate([np.zeros((len(thetas), 1)), thetas], axis=1))
-    coeffs = []
-    for k in range(1, d + 1):
-        S = np.array(list(combinations(range(d), k)))
-        minors = np.linalg.det(A[S[:, :, None], S[:, None, :]])
-        coeffs.append((-1) ** k * (z[:, S].prod(axis=-1) @ minors))
-    with np.errstate(all="ignore"):
-        lam = (_cubic_roots if d == 3 else _quartic_roots)(*coeffs)
-        for _ in range(2):
-            p, dp = lam + coeffs[0][:, None], 1
-            for c in coeffs[1:]:
-                dp = dp * lam + p
-                p = p * lam + c[:, None]
-            step = p / dp
-            lam = lam - step
-        vals = _arc_objective(lam)
-        bad = ~np.isfinite(lam).all(axis=-1)
-        bad |= np.abs(step).max(axis=-1) > 1e-13
-        bad |= np.abs(dp).min(axis=-1) < 0.01
-        bad |= np.abs(np.abs(lam) - 1).max(axis=-1) > 1e-10
-        bad |= np.abs(lam.sum(axis=-1) + coeffs[0]) > 1e-12
-    if bad.any():
-        vals[bad] = _eig_objective(A, thetas[bad])
-    return vals
 
 
 # the refine's descent takes at most this many steps: at d = 3 and 4 it
@@ -360,16 +281,11 @@ def _phase_grid(d, grid_points):
 
 def _grid_min(A, rel):
     # the index of the least of the points rel (d - 1 relative phases per
-    # row) and its value, both as LAPACK reads them. At d = 3 and 4 the
-    # values come by radicals and can differ from LAPACK's in the last
-    # digits, so every point within 1e-12 of the least is read again
-    # through _objective_at, and the least of those (the first on a tie)
-    # is taken
-    vals = (_radical_objective if len(A) <= 4 else _eig_objective)(A, rel)
-    near = np.flatnonzero(vals <= vals.min() + 1e-12)
-    exact = [_objective_at(A, rel[k]) for k in near]
-    i = int(np.argmin(exact))
-    return near[i], exact[i]
+    # row; the first on a tie) and its value, from one batched eigen-solve:
+    # the float _objective_at gives at that point
+    vals = _eig_objective(A, rel)
+    k = int(np.argmin(vals))
+    return k, float(vals[k])
 
 
 def _min_over_phases(A, grid_points, bound):
@@ -429,34 +345,24 @@ def distance_DW(O: OrthDecomposition, O2: OrthDecomposition):
     value is within 1e-12 of the bound it is the pairing's minimum. That
     holds for a permuted and rephased copy at any d, so such a copy is
     exact to 1e-12. Otherwise the pairing is refined from the minimum
-    of a grid over the relative phases (16 points per axis at d = 3, 8
-    at d = 4, and beyond that the largest count that keeps the grid at
-    4096 points or fewer), and again from the phase-aligned point when
-    that lies below the first result. From d = 14 that count is 1, a
-    grid holding only the arbitrary theta = 0, so only the phase-aligned
-    point is refined. At d = 3 and 4 the grid's eigen-angles come from
-    the characteristic polynomial of U, built from the principal minors
-    of A and solved by radicals (Cardano; Ferrari through its resolvent
-    cubic), each root polished by two Newton steps, with no eigen-solve
-    per point. A point goes to LAPACK instead where a root is near a
-    repeated one (|p'| < 0.01), its last Newton step exceeds 1e-13, it
-    strays more than 1e-10 from the unit circle, the roots miss the
-    trace by more than 1e-12, or a value is not finite. Beyond d = 4 the
-    whole grid goes to LAPACK. The grid only picks where the refine
-    starts: every point within 1e-12 of its least value is read again
-    by one LAPACK eigen-solve, and the least of those (the first on a
-    tie) is the start, so start and value are the ones a LAPACK grid
-    gives. The refine is a BFGS descent of w with Armijo
-    backtracking. Each step takes w and its gradient from one eigen-solve,
-    since an eigen-angle of U moves with the relative phase theta_n at
-    the rate |V_nj|^2, V the unit eigenvectors. It stops when the
-    gradient is at most 1e-12 or the step at most 1e-13, after 200 steps
-    at the latest, and its value is read at its last point by one
-    eigen-solve: every value returned at d >= 3 is read through LAPACK,
-    and no call loads scipy.optimize. Where eigen-angles tie
-    at an end of the arc, w has a kink and the descent can stall there,
-    short of a local minimum: from d = 14 on it does so on the pairs
-    measured.
+    of a grid over the relative phases (8 points per axis at d = 3, 4
+    at d = 4, 64 points each, and beyond that the largest count that
+    keeps the grid at 4096 points or fewer), and again from the
+    phase-aligned point when that lies below the first result. From
+    d = 14 that count is 1, a grid holding only the arbitrary theta = 0,
+    so only the phase-aligned point is refined. The whole grid is read
+    by one batched LAPACK eigen-solve, each point once; its least value
+    (the first on a tie) picks where the refine starts. The refine is a
+    BFGS descent of w with Armijo backtracking. Each step takes w and
+    its gradient from one eigen-solve, since an eigen-angle of U moves
+    with the relative phase theta_n at the rate |V_nj|^2, V the unit
+    eigenvectors. It stops when the gradient is at most 1e-12 or the
+    step at most 1e-13, after 200 steps at the latest, and its value is
+    read at its last point by one eigen-solve: every value returned at
+    d >= 3 is read through LAPACK, and no call loads scipy.optimize.
+    Where eigen-angles tie at an end of the arc, w has a kink and the
+    descent can stall there, short of a local minimum: from d = 14 on it
+    does so on the pairs measured.
 
     For d >= 3 the result is an upper bound in principle, since the
     refinement is local. As measured on 300 Haar pairs at d = 3 and 30
