@@ -1,8 +1,8 @@
 """Write every CLI output of a source checkout, to compare two checkouts
-byte for byte.
+byte for byte, and list the values that differ between two such writes.
 
     python perf/outputs.py <checkout> <dir>
-    diff -r <dir of one checkout> <dir of the other>
+    python perf/outputs.py --compare <dir A> <dir B>
 
 obsphase is imported from <checkout>/src, and the decks come from the
 same checkout: the demo decks in demos/scenarios/, and the seeded decks
@@ -12,8 +12,14 @@ which are imported and not changed. <dir> gets the outputs of
 of seeds 1-5 (in seed-<n>/), and of `obsphase sweep` on the sweeps of
 seeds 1-3, drawn from the seed's generator after its decks as the
 scenario-cli workload draws them. A change that keeps the CLI's
-behaviour shows an empty diff: every report, curve, Bloch and sweep
-file the same bytes.
+behaviour writes the same bytes to every report, curve, Bloch and sweep
+file.
+
+--compare is a report, not a gate. It prints one line per value that
+differs between the two directories, as written: a report's by its JSON
+path (`residuals.gauge_start`, `beta[1]`), a CSV's by its row (row 0 is
+the header) and column name, then old -> new, with a file found on one side only named as
+such. It ends with the count of differing values and files.
 """
 
 import contextlib
@@ -65,7 +71,51 @@ def main(checkout, out):
                 raise SystemExit(f"obsphase {' '.join(argv)} exited {code}")
 
 
+def _leaves(node, path=""):
+    """(JSON path, value) of every leaf of a parsed report."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, json.dumps(node)
+
+
+def _values(path):
+    """{label: value as written} of one output file."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return dict(_leaves(json.loads(text)))
+    rows = [line.split(",") for line in text.splitlines()]
+    names = [name.strip() for name in rows[0]]
+    return {f"row {i} {names[j]}": value for i, row in enumerate(rows) for j, value in enumerate(row)}
+
+
+def compare(a, b):
+    """Print every value that differs between two output directories."""
+    a, b = Path(a), Path(b)
+    files = sorted({p.relative_to(root) for root in (a, b) for p in root.rglob("*") if p.is_file()})
+    values = changed = 0
+    for rel in files:
+        if not (a / rel).exists() or not (b / rel).exists():
+            print(f"{rel}: only in {a if (a / rel).exists() else b}")
+            changed += 1
+            continue
+        old, new = _values(a / rel), _values(b / rel)
+        moved = [key for key in {**old, **new} if old.get(key) != new.get(key)]
+        for key in moved:
+            print(f"{rel} {key}: {old.get(key, '(absent)')} -> {new.get(key, '(absent)')}")
+        values += len(moved)
+        changed += bool(moved)
+    print(f"{values} values differ, in {changed} of {len(files)} files")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        compare(*sys.argv[2:])
+    elif len(sys.argv) == 3:
+        main(*sys.argv[1:])
+    else:
         raise SystemExit(__doc__)
-    main(*sys.argv[1:])

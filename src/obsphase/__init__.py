@@ -49,7 +49,6 @@ from .obspace import (
     distance_DW,
     fiber_contains,
     from_observable,
-    random_gauge,
     wrap_angle,
 )
 from .bundle import (

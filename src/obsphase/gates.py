@@ -19,7 +19,7 @@ from .hamiltonians import make_rotating, make_two_loop
 from .linalg import is_unitary, sigma_x, sigma_z
 from .obspace import TWO_PI, match_columns, wrap_angle
 from .phases import geometric_phases
-from .propagation import DEFAULT_STEPS, solve
+from .propagation import solve
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def read_two_loop_gate(p, report, phi):
     return gate, GateSpec(phi=float(phi), beta=beta)
 
 
-def two_loop_protocol(w0, w1, w, steps=DEFAULT_STEPS):
+def two_loop_protocol(w0, w1, w, steps):
     """Drive the rotating-field loop and then its time-and-field-reversed
     copy, so every dynamical phase cancels, and read the resulting gate.
 

@@ -142,12 +142,6 @@ class GaugeElement:
         return F @ self.as_unitary() @ F.conj().T
 
 
-def random_gauge(rng, dim):
-    perm = tuple(int(p) for p in rng.permutation(dim))
-    phases = tuple(rng.uniform(0.0, TWO_PI, size=dim))
-    return GaugeElement(perm=perm, phases=phases)
-
-
 def fiber_contains(U, O: OrthDecomposition, O0: OrthDecomposition):
     """Whether U maps the reference frame O0 onto the decomposition O.
 
@@ -181,16 +175,6 @@ def _grid_points(d):
     return n
 
 
-def _arc_objective(lam):
-    # 2 sin(w / 4) of the eigenvalues lam over the last axis, w the width
-    # of the smallest arc holding them: 2 pi less the widest gap between
-    # neighbouring eigen-angles, or max - min when that gap spans -pi
-    # (taken so, a narrow arc around 1 keeps its digits)
-    phi = np.sort(np.angle(lam), axis=-1)
-    inner = (phi[..., 1:] - phi[..., :-1]).max(axis=-1)
-    return 2 * np.sin(np.minimum(phi[..., -1] - phi[..., 0], TWO_PI - inner) / 4)
-
-
 def _eig_objective(A, thetas):
     # ||I - U|| for unitary U equals max_j |1 - lambda_j(U)|, and the
     # spectrum of U = P' D P^dag equals that of A D with A = P^dag P'.
@@ -201,7 +185,12 @@ def _eig_objective(A, thetas):
     # axis, for a stack of points (a whole grid in one call) or a single one
     thetas = np.asarray(thetas, dtype=float)
     full = np.concatenate([np.zeros(thetas.shape[:-1] + (1,)), thetas], axis=-1)
-    return _arc_objective(np.linalg.eigvals(A * np.exp(1j * full)[..., None, :]))
+    # w is 2 pi less the widest gap between neighbouring eigen-angles, or
+    # max - min when that gap spans -pi (taken so, a narrow arc around 1
+    # keeps its digits)
+    phi = np.sort(np.angle(np.linalg.eigvals(A * np.exp(1j * full)[..., None, :])), axis=-1)
+    inner = (phi[..., 1:] - phi[..., :-1]).max(axis=-1)
+    return 2 * np.sin(np.minimum(phi[..., -1] - phi[..., 0], TWO_PI - inner) / 4)
 
 
 def _objective_at(A, rel):

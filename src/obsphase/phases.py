@@ -23,7 +23,6 @@ gauge at the start of the lift, the reference frame) are checked in one
 place, invariance_residuals, which the CLI's report checks call.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -35,7 +34,7 @@ from .errors import CrossCheckError, NotCyclicError
 from .hamiltonians import HamiltonianSchedule, make_quadratic_warp
 from .linalg import frame_diagonals, frame_pairs
 from .obspace import (
-    TWO_PI, OrthDecomposition, from_observable, match_columns, random_gauge, wrap_angle
+    TWO_PI, GaugeElement, OrthDecomposition, from_observable, match_columns, wrap_angle
 )
 
 CYCLIC_TOL = 1e-6
@@ -211,20 +210,17 @@ def _require_solved_from(p, h):
         )
 
 
-def _haar_frame(rng, d):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    return OrthDecomposition(q * np.exp(-1j * np.angle(np.diag(r))))
-
-
 def invariance_residuals(p, h, report: PhaseReport, checks, tol=CYCLIC_TOL):
     """{check: multiset_gap by which report.holonomy_beta moves}, in the order
-    of checks: "reparameterization" re-solves h under the quadratic warp of p's
-    duration and steps, "gauge-start" and "reference-frame" lift p from a random
-    gauge and a Haar frame drawn from one default_rng(0), all from report's frame."""
+    of checks, all from report's frame, of dimension d: "reparameterization"
+    re-solves h under the quadratic warp of p's duration and steps,
+    "gauge-start" lifts p from the gauge element that sends level n to
+    (n + 1) mod d with phase n + 1 rad, and "reference-frame" reads the fiber
+    in the d-point Fourier frame, F_jk = e^{2 pi i jk / d} / sqrt(d). The
+    gauge and frame are fixed, so each residual depends on its own check
+    alone, not on the others listed or their order."""
     obs = report.lift.reference
-    # made on first use, so a run without those checks never loads numpy.random
-    rng = functools.cache(lambda: np.random.default_rng(0))
+    d, n = obs.dim, np.arange(obs.dim)
     out = {}
     for check in checks:
         q, reference, start = p, None, None
@@ -232,9 +228,9 @@ def invariance_residuals(p, h, report: PhaseReport, checks, tol=CYCLIC_TOL):
             # through the module, so that a wrapped propagation.solve sees it
             q = propagation.solve(make_quadratic_warp(h, p.duration), p.duration, steps=p.steps)
         elif check == "gauge-start":
-            start = random_gauge(rng(), obs.dim).in_frame(obs)
+            start = GaugeElement(perm=tuple((n + 1) % d), phases=tuple(n + 1.0)).in_frame(obs)
         elif check == "reference-frame":
-            reference = _haar_frame(rng(), obs.dim)
+            reference = OrthDecomposition(np.exp(1j * TWO_PI / d * np.outer(n, n)) / np.sqrt(d))
         else:
             raise ValueError(f"unknown invariance check {check!r}")
         hor = horizontal_lift(lift_from_propagator(q, obs, reference=reference, start=start))

@@ -1,14 +1,14 @@
 """Helpers that only the tests call: closed-form propagators, a few
-schedules, the paper's objects that the pipeline never evaluates
-(the canonical connection, the Heisenberg evolution, projector-set
-equality, the Bloch chart, the projectors of a frame, the group
-product and inverse of gauge elements, the gauge element a unitary is
-and whether two gates commute), and the second routes the package's one
-route to a number is held to: the single-matrix exponential by eigh
-(expm_skew), the dynamical integral by Simpson's rule on freshly
-sampled h (dynamical_phase without an integral) and the invariance gap
-by a search over every pairing (multiset_gap). Not collected: the name
-has no test_ prefix.
+schedules, seeded Haar frames and gauge elements, the paper's objects
+that the pipeline never evaluates (the canonical connection, the
+Heisenberg evolution, projector-set equality, the Bloch chart, the
+projectors of a frame, the group product and inverse of gauge elements,
+the gauge element a unitary is and whether two gates commute), and the
+second routes the package's one route to a number is held to: the
+single-matrix exponential by eigh (expm_skew), the dynamical integral by
+Simpson's rule on freshly sampled h (dynamical_phase without an
+integral) and the invariance gap by a search over every pairing
+(multiset_gap). Not collected: the name has no test_ prefix.
 """
 
 import itertools
@@ -33,7 +33,7 @@ from obsphase.linalg import (
     sigma_y,
     sigma_z,
 )
-from obsphase.obspace import GaugeElement, OrthDecomposition, match_columns
+from obsphase.obspace import TWO_PI, GaugeElement, OrthDecomposition, match_columns
 from obsphase.propagation import Propagator
 
 
@@ -94,6 +94,22 @@ def haar_frame(rng, d=2):
     Q, R = np.linalg.qr(A)
     lam = np.diag(R) / np.abs(np.diag(R))
     return OrthDecomposition(Q * lam[None, :])
+
+
+def _haar_frame(rng, d):
+    """A Haar frame drawn as standard normals and fixed by the phases of
+    R's diagonal: other frames than haar_frame's from the same seed, which
+    the d = 14 distance tables and the reference-frame property test read."""
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return OrthDecomposition(q * np.exp(-1j * np.angle(np.diag(r))))
+
+
+def random_gauge(rng, dim):
+    """A uniform permutation with uniform phases in [0, 2pi)."""
+    perm = tuple(int(p) for p in rng.permutation(dim))
+    phases = tuple(rng.uniform(0.0, TWO_PI, size=dim))
+    return GaugeElement(perm=perm, phases=phases)
 
 
 # -- second routes -------------------------------------------------------------

@@ -46,11 +46,10 @@ from obsphase.obspace import (
     distance_DW,
     fiber_contains,
     from_observable,
-    random_gauge,
 )
 from obsphase.phases import circular_distance, geometric_phases, wrap_angle
 from obsphase.propagation import solve
-from support import closed_form_rotating, commutes, gauge_from_unitary
+from support import closed_form_rotating, commutes, gauge_from_unitary, random_gauge
 
 TWO_PI = 2 * np.pi
 

@@ -14,7 +14,6 @@ from obsphase.obspace import (
     OrthDecomposition,
     fiber_contains,
     from_observable,
-    random_gauge,
 )
 from obsphase.propagation import solve
 from support import (
@@ -25,6 +24,7 @@ from support import (
     haar_frame,
     make_zero,
     projector,
+    random_gauge,
 )
 
 TWO_PI = 2 * np.pi

@@ -1006,16 +1006,18 @@ def test_a_schedule_whose_steps_overflow_exits_2(system, params, message, tmp_pa
 
 
 @pytest.mark.parametrize(
-    "deck, loads",
+    "deck",
     [
-        ("two-loop.json", False),
-        ("tabulated-triangle.json", False),
-        ({"checks": ["reparameterization"]}, False),
-        ({"checks": ["gauge-start"]}, True),
+        "two-loop.json",
+        "tabulated-triangle.json",
+        {"checks": ["reparameterization"]},
+        {"checks": ["gauge-start"]},
+        # lists all three invariance checks
+        "constant-field.json",
     ],
-    ids=["two-loop", "tabulated-triangle", "reparameterization", "gauge-start"],
+    ids=["two-loop", "tabulated-triangle", "reparameterization", "gauge-start", "constant-field"],
 )
-def test_numpy_random_is_loaded_only_by_a_check_that_draws(deck, loads, tmp_path):
+def test_no_run_loads_numpy_random(deck, tmp_path):
     root = Path(__file__).resolve().parents[1]
     if isinstance(deck, str):
         path = str(root / "demos" / "scenarios" / deck)
@@ -1031,4 +1033,4 @@ def test_numpy_random_is_loaded_only_by_a_check_that_draws(deck, loads, tmp_path
     env["PYTHONPATH"] = os.pathsep.join([str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert fresh.returncode == 0, fresh.stderr
-    assert fresh.stdout.splitlines()[-1] == str(loads)
+    assert fresh.stdout.splitlines()[-1] == "False"

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 from obsphase.bundle import holonomy, horizontal_lift, lift_from_propagator
 from obsphase.cli import main
 from obsphase.gates import rotating_problem, tilted_observable
-from obsphase.hamiltonians import make_constant_z, make_warped
+from obsphase.hamiltonians import make_constant_z, make_tabulated, make_warped
 from obsphase.obspace import GaugeElement
-from obsphase.phases import _haar_frame, geometric_phases, invariance_residuals, multiset_gap
+from obsphase.phases import geometric_phases, invariance_residuals, multiset_gap
 from obsphase.propagation import solve
-from support import multiset_gap as multiset_gap_by_every_pairing
+from support import _haar_frame, multiset_gap as multiset_gap_by_every_pairing
 
 TWO_PI = 2 * np.pi
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
@@ -89,6 +89,34 @@ def test_run_writes_the_library_residuals(tmp_path):
     assert list(gaps) == sc["checks"]
     for check, gap in gaps.items():
         assert float(f"{gap:.12g}") == written[check.replace("-", "_")]
+
+
+def _rotating_deck_run():
+    params = json.loads((DEMOS / "rotating-field.json").read_text())["params"]
+    h, T, X0, steps = rotating_problem(params["w0"], params["w1"], params["w"], params["steps"])
+    p = solve(h, T, steps=steps)
+    return p, h, geometric_phases(p, h, X0)
+
+
+def _tabulated_d3_run():
+    # a triangular spin-1 z drive, U(T) = I, watched on a generic observable
+    Jz = np.diag([1.0, 0.0, -1.0])
+    h = make_tabulated([0.0, np.pi, TWO_PI], [0 * Jz, 2 * Jz, 0 * Jz])
+    X0 = np.array([[1.0, 0.5, 0.2], [0.5, 2.0, 0.3j], [0.2, -0.3j, 3.5]])
+    p = solve(h, TWO_PI, steps=1024)
+    return p, h, geometric_phases(p, h, X0)
+
+
+@pytest.mark.parametrize("run", [_rotating_deck_run, _tabulated_d3_run], ids=["rotating-field", "tabulated-d3"])
+def test_each_residual_is_the_same_float_whatever_else_the_deck_checks(run):
+    p, h, report = run()
+    every = ["reparameterization", "gauge-start", "reference-frame"]
+    for check in ("gauge-start", "reference-frame"):
+        rest = [c for c in every if c != check]
+        alone = invariance_residuals(p, h, report, [check])[check]
+        assert invariance_residuals(p, h, report, [check, *rest])[check] == alone
+        assert invariance_residuals(p, h, report, [*rest, check])[check] == alone
+        assert alone <= 1e-12
 
 
 def test_an_unknown_check_is_rejected():

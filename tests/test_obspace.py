@@ -16,7 +16,6 @@ from obsphase.errors import (
     NotUnitaryError,
 )
 from obsphase.linalg import sigma_x, sigma_z
-from obsphase.phases import _haar_frame
 from obsphase.obspace import (
     GaugeElement,
     OrthDecomposition,
@@ -24,9 +23,9 @@ from obsphase.obspace import (
     fiber_contains,
     from_observable,
     match_columns,
-    random_gauge,
 )
 from support import (
+    _haar_frame,
     bloch_chart,
     compose,
     decompositions_equal,
@@ -34,6 +33,7 @@ from support import (
     haar_frame,
     inverse,
     projector,
+    random_gauge,
 )
 
 

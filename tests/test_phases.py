@@ -277,8 +277,9 @@ def test_not_cyclic_error_carries_the_failed_check():
 
 
 def test_geometric_phases_cross_check_guard():
-    # handing in a schedule that does not match the propagator corrupts
-    # the dynamical integral, and the holonomy cross-check catches it
+    # gamma is read off p.integral, so a schedule that does not match the
+    # propagator cannot corrupt it; the check that h gives p's samples at
+    # 9 spread midpoints (_require_solved_from) refuses it first
     w0, w1, w = 1.0, 3.0, 2.0
     p = solve(make_rotating(w0, w1, w), TWO_PI / w, steps=2048)
     wrong_h = make_rotating(1.0, 0.0, 2.0)
