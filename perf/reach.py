@@ -10,9 +10,12 @@ imported inside the traced call, so its import-time statements count as
 reached. Prints every statement of src/obsphase that none of them
 reached, leaving out `raise` statements and docstrings, then every name
 that obsphase exports and no module of src/obsphase, demos/ or
-benchmark/ names, and last the line count of src/obsphase, the number of
-defaulted parameters of its functions and the number of names it
-exports (AST counts). The outputs go to a temporary directory.
+benchmark/ names, then every defaulted parameter of a function or method
+of src/obsphase that no call in src/obsphase, demos/ or benchmark/ sets
+(by position, by keyword or through functools.partial; calls are matched
+by the name called), and last the line count of src/obsphase, the number
+of defaulted parameters of its functions and methods and the number of
+names it exports (AST counts). The outputs go to a temporary directory.
 """
 
 import ast
@@ -60,12 +63,51 @@ def statements(tree):
         yield first, range(first, max(first, last) + 1)
 
 
-def defaulted_parameters(tree):
-    return sum(
-        len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-    )
+def defaulted(tree, stem):
+    """(label, called name, position, keyword) of each defaulted parameter
+    of a function or method in tree. A method's positions skip self, and
+    an __init__ is called by its class's name; a keyword-only parameter
+    has no position."""
+    owner = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(id(node))
+        called = cls.name if cls and node.name == "__init__" else node.name
+        label = f"{stem}.{cls.name}.{node.name}" if cls else f"{stem}.{node.name}"
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield label, called, i - bool(cls), arg.arg
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield label, called, None, arg.arg
+
+
+def _called_name(func):
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def set_by_calls(paths):
+    """{(called name, position or keyword)} of every argument some call
+    passes: f(a, k=b), obj.f(a, k=b) or functools.partial(f, a, k=b); a
+    *args stands for every position ("*") and a **kwargs for every
+    keyword ("**")."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if _called_name(func) == "partial" and args:
+                func, args = args[0], args[1:]
+            name = _called_name(func)
+            for i, arg in enumerate(args):
+                found.add((name, "*" if isinstance(arg, ast.Starred) else i))
+            found.update((name, kw.arg or "**") for kw in node.keywords)
+    return found
 
 
 def names_used(path):
@@ -102,12 +144,13 @@ def main():
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
         tracer.runfunc(entries, out)
     hit = {(Path(f).resolve(), line) for f, line in tracer.results().counts}
-    lines = defaults = 0
+    lines = 0
+    options = []
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         tree = ast.parse(source)
         lines += len(source.splitlines())
-        defaults += defaulted_parameters(tree)
+        options += defaulted(tree, path.stem)
         text = source.splitlines()
         for first, own in sorted(statements(tree)):
             if not any((path, line) in hit for line in own):
@@ -115,8 +158,14 @@ def main():
     exported, uncalled = exports()
     for name in sorted(uncalled):
         print(f"exported, with no caller: {name}")
+    callers = [*PACKAGE.glob("*.py"), *(ROOT / "demos").rglob("*.py"), *(ROOT / "benchmark").rglob("*.py")]
+    passed = set_by_calls(callers)
+    for label, called, position, keyword in options:
+        ways = {keyword, "**"} | ({position, "*"} if position is not None else set())
+        if not any((called, way) in passed for way in ways):
+            print(f"defaulted, set by no call: {label}({keyword})")
     print(
-        f"src/obsphase: {lines} lines, {defaults} defaulted parameters, "
+        f"src/obsphase: {lines} lines, {len(options)} defaulted parameters, "
         f"{len(exported)} exported names"
     )
 

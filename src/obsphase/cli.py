@@ -136,6 +136,23 @@ def _parse_complex_matrix(obj, pointer):
     return out
 
 
+def _choices(raw, key, allowed, default, barred):
+    """raw[key], or default when absent: a list of distinct entries of
+    allowed, none of them a key of barred ({entry: why the system bars
+    it}), which must be non-empty unless the default is."""
+    items = raw.get(key, default)
+    _want(
+        isinstance(items, list) and (items or not default),
+        f"/{key}",
+        "expected a non-empty list" if default else "expected a list",
+    )
+    for i, item in enumerate(items):
+        _want(item in allowed, f"/{key}/{i}", f"expected one of {', '.join(allowed)}")
+        _want(item not in barred, f"/{key}/{i}", barred.get(item))
+    _want(len(set(items)) == len(items), f"/{key}", "duplicate entries")
+    return list(items)
+
+
 def load_scenario(path):
     try:
         with open(path) as f:
@@ -219,41 +236,22 @@ def validate_scenario(raw):
     _want(isinstance(params, dict), "/params", "expected an object")
     _check_params(params, system)
 
-    checks = raw.get("checks", [])
-    _want(isinstance(checks, list), "/checks", "expected a list")
-    for i, c in enumerate(checks):
-        _want(c in _CHECKS, f"/checks/{i}", f"expected one of {', '.join(_CHECKS)}")
-        # the quadratic warp moves jump times off every uniform grid
-        _want(
-            c != "reparameterization" or not spec.jumps,
-            f"/checks/{i}",
-            "reparameterization needs a jump-free schedule",
-        )
-    _want(
-        len(set(checks)) == len(checks), "/checks", "duplicate entries"
-    )
+    # the quadratic warp moves jump times off every uniform grid
+    warp = {"reparameterization": "reparameterization needs a jump-free schedule"}
+    checks = _choices(raw, "checks", _CHECKS, [], warp if spec.jumps else {})
     if spec.build is None:
         _want(not checks, "/checks", f"no evolution to check for system {system}")
 
-    outputs = raw.get("outputs", ["report"])
-    _want(isinstance(outputs, list) and outputs, "/outputs", "expected a non-empty list")
-    for i, o in enumerate(outputs):
-        _want(
-            o in _OUTPUT_KINDS,
-            f"/outputs/{i}",
-            f"expected one of {', '.join(_OUTPUT_KINDS)}",
-        )
-        if spec.build is None:
-            _want(o == "report", f"/outputs/{i}", f"only report is available for system {system}")
-    _want(len(set(outputs)) == len(outputs), "/outputs", "duplicate entries")
+    curves = dict.fromkeys(("curve_csv", "bloch_csv"), f"only report is available for system {system}")
+    outputs = _choices(raw, "outputs", _OUTPUT_KINDS, ["report"], curves if spec.build is None else {})
 
     sc = {
         "schema": 1,
         "name": name,
         "system": system,
         "params": params,
-        "checks": list(checks),
-        "outputs": list(outputs),
+        "checks": checks,
+        "outputs": outputs,
     }
 
     if system == "custom-tabulated":
@@ -311,10 +309,6 @@ def validate_scenario(raw):
         params["steps"] = _check_steps(params["steps"], sc)
 
     return sc
-
-
-def _scenario_echo(sc):
-    return {k: v for k, v in sc.items() if not k.startswith("_")}
 
 
 # ------------------------------------------------------------------ pipeline
@@ -383,18 +377,13 @@ def _build_problem(sc, steps_override):
     return _SYSTEMS[sc["system"]].build(sc, int(steps))
 
 
-def _base_report(sc):
-    return {
-        "schema": 1,
-        "scenario": _scenario_echo(sc),
-        "theta": [],
-        "gamma": [],
-        "beta": [],
-        "beta_unreduced": [],
-        "holonomy_beta": [],
-        "residuals": {},
-        "gates": {},
-    }
+def _evolve(sc, steps, tol):
+    """Build, solve and read the phases of an evolving system: (schedule,
+    propagator, PhaseReport). NotCyclicError when the observable does not
+    return within tol."""
+    h, T, X0, n = _build_problem(sc, steps)
+    p = solve(h, T, steps=n)
+    return h, p, geometric_phases(p, h, X0, tol=tol)
 
 
 def _curve(hor):
@@ -434,22 +423,33 @@ def _fill_cnot(report, params):
     report["cnot"] = {"equivalent": bool(equivalent), "target_phase": _round12(alpha)}
 
 
-def run_scenario(sc, out_dir=".", steps=None, tol=None):
+def run_scenario(sc, out_dir=".", steps=None, tol=CYCLIC_TOL):
     """Execute a validated scenario and write its artifacts. Returns the
     list of paths written."""
     os.makedirs(out_dir, exist_ok=True)
     name = sc["name"]
-    report = _base_report(sc)
+    report = {
+        "schema": 1,
+        "scenario": {k: v for k, v in sc.items() if not k.startswith("_")},
+        "residuals": {},
+        "gates": {},
+    }
     system = _SYSTEMS[sc["system"]]
 
     if system.build is None:
+        report.update(theta=[], gamma=[], beta=[], beta_unreduced=[], holonomy_beta=[])
         _fill_cnot(report, sc["params"])
     else:
-        tol = CYCLIC_TOL if tol is None else tol
-        h, T, X0, n = _build_problem(sc, steps)
-        p = solve(h, T, steps=n)
-        phase_report = geometric_phases(p, h, X0, tol=tol)
-        _fill_phase_fields(report, phase_report)
+        h, p, phase_report = _evolve(sc, steps, tol)
+        report.update(
+            theta=[_angle(x) for x in phase_report.theta],
+            gamma=_float_list(phase_report.gamma),
+            beta=[_angle(x) for x in phase_report.beta],
+            beta_unreduced=_float_list(phase_report.beta_raw),
+            holonomy_beta=[_angle(x) for x in phase_report.holonomy_beta],
+        )
+        report["residuals"]["cyclicity"] = _round12(phase_report.cyclicity_residual)
+        report["residuals"]["cross_check"] = _round12(phase_report.cross_residual)
         if system.gate:
             system.gate(report, sc, p, phase_report)
         gaps = invariance_residuals(p, h, phase_report, sc["checks"], tol)
@@ -477,16 +477,6 @@ def run_scenario(sc, out_dir=".", steps=None, tol=None):
     return artifacts
 
 
-def _fill_phase_fields(report, phase_report):
-    report["theta"] = [_angle(x) for x in phase_report.theta]
-    report["gamma"] = _float_list(phase_report.gamma)
-    report["beta"] = [_angle(x) for x in phase_report.beta]
-    report["beta_unreduced"] = _float_list(phase_report.beta_raw)
-    report["holonomy_beta"] = [_angle(x) for x in phase_report.holonomy_beta]
-    report["residuals"]["cyclicity"] = _round12(phase_report.cyclicity_residual)
-    report["residuals"]["cross_check"] = _round12(phase_report.cross_residual)
-
-
 # --------------------------------------------------------------------- sweep
 
 
@@ -508,7 +498,7 @@ def _parse_range(spec):
     return np.linspace(lo, hi, count)
 
 
-def sweep_scenario(sc, param, values, out_dir=".", steps=None, tol=None):
+def sweep_scenario(sc, param, values, out_dir=".", steps=None, tol=CYCLIC_TOL):
     """Rerun the scenario once per parameter value and tabulate the
     geometric phases. Non-cyclic rows are marked, not fatal."""
     system = _SYSTEMS[sc["system"]]
@@ -525,7 +515,6 @@ def sweep_scenario(sc, param, values, out_dir=".", steps=None, tol=None):
 
     os.makedirs(out_dir, exist_ok=True)
     dim = sc["_X0"].shape[0] if "_X0" in sc else 2
-    tol = CYCLIC_TOL if tol is None else tol
 
     path = os.path.join(out_dir, f"{sc['name']}-sweep-{param}.csv")
     header = (
@@ -537,11 +526,9 @@ def sweep_scenario(sc, param, values, out_dir=".", steps=None, tol=None):
         f.write(header + "\n")
         for value in values:
             params = dict(sc["params"], **{param: float(value)})
-            h, T, X0, n = _build_problem(dict(sc, params=params), steps)
-            p = solve(h, T, steps=n)
             cells = [_fmt(value)]
             try:
-                r = geometric_phases(p, h, X0, tol=tol)
+                r = _evolve(dict(sc, params=params), steps, tol)[2]
             except NotCyclicError as e:
                 cells += ["nan"] * (dim + 1) + [_fmt(e.check.residual), "not-cyclic"]
             else:
@@ -565,7 +552,7 @@ def _build_parser():
     common.add_argument("scenario", help="path to a scenario JSON file")
     common.add_argument("--steps", type=int, help="override the time grid resolution")
     common.add_argument("--out", default=".", help="output directory (default: .)")
-    common.add_argument("--tol", type=float, help="cyclicity tolerance override")
+    common.add_argument("--tol", type=float, default=CYCLIC_TOL, help="cyclicity tolerance override")
     sub.add_parser("run", parents=[common], help="run one scenario")
     sw = sub.add_parser("sweep", parents=[common], help="sweep one parameter")
     sw.add_argument("--param", required=True, help="scenario parameter to sweep")
@@ -585,12 +572,10 @@ def main(argv=None):
         sc = validate_scenario(load_scenario(args.scenario))
         if args.steps is not None:
             _check_steps(args.steps, sc)
-        if args.tol is not None and not (_is_real(args.tol) and args.tol > 0):
+        if not (_is_real(args.tol) and args.tol > 0):
             raise ScenarioError("", f"--tol must be positive and finite, got {args.tol:g}")
         if args.command == "run":
-            artifacts = run_scenario(
-                sc, out_dir=args.out, steps=args.steps, tol=args.tol
-            )
+            artifacts = run_scenario(sc, out_dir=args.out, steps=args.steps, tol=args.tol)
         else:
             values = _parse_range(args.range_spec)
             artifacts = sweep_scenario(

@@ -37,10 +37,6 @@ class NotClosedError(ObsphaseError):
     """A lifted curve does not return to its initial decomposition."""
 
 
-class NotGaugeError(ObsphaseError):
-    """A unitary is not a phase-and-permutation (gauge) element, within tolerance."""
-
-
 class NotCyclicError(ObsphaseError):
     """An evolution is not cyclic at the requested tolerance; `check` is the failed CyclicityCheck."""
 

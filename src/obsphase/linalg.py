@@ -24,12 +24,12 @@ sigma_z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HERMITICITY_TOL = 1e-10
 
 
-def is_hermitian(H, tol=HERMITICITY_TOL):
-    """True iff H is finite and max|H - H^dagger| <= tol * max|H| over
-    the entries: the package's one Hermiticity test. c H passes iff H
-    does (c > 0), a NaN or an infinity fails, and a stack over the last
-    two axes gives one bool per matrix. Where H - H^dagger meets
-    inf - inf the deviation is NaN, which fails without a numpy
+def is_hermitian(H):
+    """True iff H is finite and max|H - H^dagger| <= HERMITICITY_TOL *
+    max|H| over the entries: the package's one Hermiticity test. c H
+    passes iff H does (c > 0), a NaN or an infinity fails, and a stack
+    over the last two axes gives one bool per matrix. Where H - H^dagger
+    meets inf - inf the deviation is NaN, which fails without a numpy
     warning."""
     H = np.asarray(H, dtype=complex)
     if H.ndim > 2 and H.shape[-2:] == (2, 2):
@@ -42,15 +42,15 @@ def is_hermitian(H, tol=HERMITICITY_TOL):
                 np.maximum(np.abs(h00 - h00.conj()), np.abs(h11 - h11.conj())), np.abs(h10 - h01.conj())
             )
         scale = np.maximum(np.maximum(np.abs(h00), np.abs(h01)), np.maximum(np.abs(h10), np.abs(h11)))
-        return _within(asymmetry, tol, scale)
-    ok = _within(_asymmetry(H), tol, np.abs(H).max(axis=(-2, -1)))
+        return _within(asymmetry, scale)
+    ok = _within(_asymmetry(H), np.abs(H).max(axis=(-2, -1)))
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def _within(asymmetry, tol, scale):
+def _within(asymmetry, scale):
     # an infinite entry makes the scale infinite, which no bound relative
     # to it can catch
-    return (asymmetry <= tol * scale) & (scale < np.inf)
+    return (asymmetry <= HERMITICITY_TOL * scale) & (scale < np.inf)
 
 
 def _asymmetry(H):

@@ -134,16 +134,14 @@ class PhaseReport:
     lift: LiftCurve
 
 
-def geometric_phases(
-    p: propagation.Propagator, h: HamiltonianSchedule, X0, tol=CYCLIC_TOL, cross_tol=CROSS_TOL
-):
+def geometric_phases(p: propagation.Propagator, h: HamiltonianSchedule, X0, tol=CYCLIC_TOL):
     """Full phase extraction with the holonomy cross-check.
 
     p must come from solve(h, ...): gamma is read off the integral of h
     that the solve took from its midpoint samples. Raises NotCyclic when
     the observable does not return, and CrossCheck when h differs from
     the propagator's samples at its 9 spread midpoints
-    or the two routes to beta disagree beyond cross_tol; a
+    or the two routes to beta disagree beyond CROSS_TOL; a
     NotCyclicError carries the failed CyclicityCheck as its check.
     """
     cyc = detect_cyclic(p, X0, tol)
@@ -170,16 +168,16 @@ def geometric_phases(
     hol = holonomy(lift, tol=tol)
     gaps = circular_distance(beta, hol.betas)
     cross = float(np.max(gaps))
-    if not (cross <= cross_tol):  # written so that a NaN gap fails
+    if not (cross <= CROSS_TOL):  # written so that a NaN gap fails
         msg = (
             f"phase-difference route and holonomy route disagree: "
-            f"max gap {cross:.3e} > {cross_tol:g} at {p.steps} steps "
+            f"max gap {cross:.3e} > {CROSS_TOL:g} at {p.steps} steps "
             f"(beta {beta}, holonomy {hol.betas})"
         )
         if math.isfinite(cross):
             # both routes carry the O(dt^2) step error, so each doubling
             # of the steps divides the gap by about 4
-            doublings = max(1, math.ceil(math.log(cross / cross_tol, 4)))
+            doublings = max(1, math.ceil(math.log(cross / CROSS_TOL, 4)))
             msg += f"; the O(dt^2) rate predicts that {p.steps * 2**doublings} steps pass"
         raise CrossCheckError(msg)
     return PhaseReport(

@@ -3,12 +3,13 @@ schedules, seeded Haar frames and gauge elements, the paper's objects
 that the pipeline never evaluates (the canonical connection, the
 Heisenberg evolution, projector-set equality, the Bloch chart, the
 projectors of a frame, the group product and inverse of gauge elements,
-the gauge element a unitary is and whether two gates commute), and the
-second routes the package's one route to a number is held to: the
-single-matrix exponential by eigh (expm_skew), the dynamical integral by
-Simpson's rule on freshly sampled h (dynamical_phase without an
-integral) and the invariance gap by a search over every pairing
-(multiset_gap). Not collected: the name has no test_ prefix.
+the gauge element a unitary is, with NotGaugeError when it is none, and
+whether two gates commute), and the second routes the package's one
+route to a number is held to: the single-matrix exponential by eigh
+(expm_skew), the dynamical integral by Simpson's rule on freshly sampled
+h (dynamical_phase without an integral) and the invariance gap by a
+search over every pairing (multiset_gap). Not collected: the name has no
+test_ prefix.
 """
 
 import itertools
@@ -18,8 +19,8 @@ import numpy as np
 import obsphase.phases as phases
 from obsphase.errors import (
     DimensionMismatchError,
-    NotGaugeError,
     NotUnitaryError,
+    ObsphaseError,
     ScheduleDomainError,
 )
 from obsphase.gates import GateSpec, u_phi_beta
@@ -61,6 +62,10 @@ def inverse(g: GaugeElement):
     for n in range(g.dim):
         inv[g.perm[n]] = n
     return GaugeElement(perm=tuple(inv), phases=tuple(-g.phases[inv[n]] for n in range(g.dim)))
+
+
+class NotGaugeError(ObsphaseError):
+    """A unitary is not a phase-and-permutation (gauge) element, within tolerance."""
 
 
 def gauge_from_unitary(U):

@@ -138,6 +138,41 @@ def test_unknown_system_check_and_output_are_rejected():
         validate_scenario(scenario(outputs=["pdf"]))
 
 
+_TWO_LOOP = {"system": "two-loop", "params": {"w0": 1.0, "w1": 3.0, "w": 2.0}}
+_CNOT = {"system": "two-qubit-cnot", "params": {}}
+
+
+@pytest.mark.parametrize(
+    "overrides, pointer, message",
+    [
+        ({"checks": "gauge-start"}, "/checks", "expected a list"),
+        ({"checks": None}, "/checks", "expected a list"),
+        ({"checks": ["gauge-start", "unitarity"]}, "/checks/1",
+         "expected one of reparameterization, gauge-start, reference-frame"),
+        ({"checks": ["gauge-start", "gauge-start"]}, "/checks", "duplicate entries"),
+        ({**_TWO_LOOP, "checks": ["gauge-start", "reparameterization"]}, "/checks/1",
+         "reparameterization needs a jump-free schedule"),
+        ({**_CNOT, "checks": ["gauge-start"]}, "/checks", "no evolution to check for system two-qubit-cnot"),
+        ({"outputs": "report"}, "/outputs", "expected a non-empty list"),
+        ({"outputs": []}, "/outputs", "expected a non-empty list"),
+        ({"outputs": ["report", "pdf"]}, "/outputs/1", "expected one of report, curve_csv, bloch_csv"),
+        ({"outputs": ["report", "report"]}, "/outputs", "duplicate entries"),
+        ({**_CNOT, "outputs": ["report", "curve_csv"]}, "/outputs/1",
+         "only report is available for system two-qubit-cnot"),
+    ],
+    ids=[
+        "checks-string", "checks-null", "checks-unknown", "checks-duplicate", "checks-warp-of-jumps",
+        "checks-cnot", "outputs-string", "outputs-empty", "outputs-unknown", "outputs-duplicate",
+        "outputs-cnot-curve",
+    ],
+)
+def test_a_checks_or_outputs_list_that_breaks_the_rule_is_pointed_at(overrides, pointer, message):
+    with pytest.raises(ScenarioError) as err:
+        validate_scenario(scenario(**overrides))
+    assert err.value.pointer == pointer
+    assert str(err.value) == f"{pointer}: {message}"
+
+
 def test_gate_system_has_no_curves():
     sc = scenario(system="two-qubit-cnot", params={}, outputs=["report", "curve_csv"])
     with pytest.raises(ScenarioError) as err:

@@ -159,8 +159,6 @@ def test_hermiticity_is_one_relative_test_on_a_matrix_or_a_stack():
         assert is_hermitian(c * (H + skew)) is False
     stack = np.stack([H, H + skew, np.full((3, 3), np.nan), np.zeros((3, 3))])
     assert is_hermitian(stack).tolist() == [True, False, False, True]
-    # a caller may still ask for a tighter test
-    assert not is_hermitian(H + 1e-2 * skew, tol=1e-12)
 
 
 def test_checks_name_the_shared_tolerance_and_refuse_nan():

@@ -11,7 +11,6 @@ import obsphase.obspace as obspace
 from obsphase.errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
-    NotGaugeError,
     NotHermitianError,
     NotUnitaryError,
 )
@@ -25,6 +24,7 @@ from obsphase.obspace import (
     match_columns,
 )
 from support import (
+    NotGaugeError,
     _haar_frame,
     bloch_chart,
     compose,

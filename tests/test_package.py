@@ -103,3 +103,40 @@ def test_every_exported_name_has_a_caller_besides_the_unit_tests():
     used = set().union(*map(_names_used, callers))
     assert sorted(exported - used) == []
 
+
+# a definition no caller outside the tests names, and why it stays in src/
+UNCALLED_DEFINITIONS = {
+    # criterion 7 calls it as a method of a schedule, so moving it to
+    # tests/support.py would edit an acceptance test's body
+    "hamiltonians.HamiltonianSchedule.shifted",
+}
+
+
+def _definitions(node, prefix):
+    """(qualified name, name) of every function, method and class under
+    node, nested ones included; dunder methods are called by Python itself."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualified = f"{prefix}.{child.name}"
+            if not (child.name.startswith("__") and child.name.endswith("__")):
+                yield qualified, child.name
+            yield from _definitions(child, qualified)
+        else:
+            yield from _definitions(child, prefix)
+
+
+def test_every_definition_has_a_caller_besides_the_unit_tests():
+    # a function, method or class of src/obsphase is named by the pipeline,
+    # the demos or the benchmark; one that only the tests use lives in
+    # tests/support.py (the package's re-exports in __init__.py do not count)
+    package = ROOT / "src" / "obsphase"
+    callers = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    callers += [*(ROOT / "demos").rglob("*.py"), *(ROOT / "benchmark").rglob("*.py")]
+    used = set().union(*map(_names_used, callers))
+    uncalled = {
+        qualified
+        for path in package.glob("*.py")
+        for qualified, name in _definitions(ast.parse(path.read_text()), path.stem)
+        if name not in used
+    }
+    assert sorted(uncalled) == sorted(UNCALLED_DEFINITIONS)

@@ -15,6 +15,7 @@ from obsphase.errors import (
     DegenerateSpectrumError,
     NotCyclicError,
 )
+from obsphase.bundle import holonomy, horizontal_lift, lift_from_propagator
 from obsphase.gates import rotating_problem
 from obsphase.hamiltonians import (
     HamiltonianSchedule,
@@ -26,6 +27,7 @@ from obsphase.hamiltonians import (
 from obsphase.linalg import sigma_x, sigma_z
 from obsphase.obspace import from_observable
 from obsphase.phases import (
+    CYCLIC_TOL,
     circular_distance,
     detect_cyclic,
     geometric_phases,
@@ -427,11 +429,16 @@ def test_qubit_betas_pair_to_zero_on_both_routes(w0, w1, w, sign):
     # gamma_1 + gamma_2 integrates tr H = 0: beta_1 + beta_2 = 0 mod 2pi
     # on the phase-difference route and, independently, on the holonomy
     # route. The routes differ from each other by O(dt^2) at 512 steps,
-    # so their cross-check is loose here.
+    # more than geometric_phases' cross-check allows, so each is read
+    # on its own.
     h, T, X0, steps = rotating_problem(w0, w1, sign * w, 512)
-    rep = geometric_phases(solve(h, T, steps=steps), h, X0, cross_tol=np.pi)
-    assert circular_distance(rep.beta.sum(), 0.0) <= 1e-11
-    assert circular_distance(rep.holonomy_beta.sum(), 0.0) <= 1e-11
+    p = solve(h, T, steps=steps)
+    cyc = detect_cyclic(p, X0, CYCLIC_TOL)
+    assert cyc.is_cyclic
+    beta = cyc.thetas - phases.dynamical_phase(cyc.frame.vectors, p.integral)
+    hol = holonomy(horizontal_lift(lift_from_propagator(p, cyc.frame)), tol=CYCLIC_TOL)
+    assert circular_distance(beta.sum(), 0.0) <= 1e-11
+    assert circular_distance(hol.betas.sum(), 0.0) <= 1e-11
 
 
 # ------------------------------------------- the dynamical integral from samples
