@@ -12,8 +12,10 @@ and 60 d = 4 default_rng(2024) pairs, and 300 d = 3 and 100 d = 4
 default_rng(99) pairs: 777 in all. Each (d, seed) draws from a generator
 of its own, and the Haar pairs are drawn as tests/support.py draws them.
 Prints how many values rose, fell or stayed within 1e-13, how many are
-bit-identical, the largest rise and the largest fall, and every pair
-that moved by more than 1e-13.
+bit-identical, the largest rise and the largest fall, every pair that
+moved by more than 1e-13, and for each checkout the mean number of
+eigen-solves (np.linalg.eig and np.linalg.eigvals calls) a call makes at
+d = 3 and at d = 4.
 """
 
 import json
@@ -43,16 +45,29 @@ def corpus(workloads):
 
 
 def values(checkout):
-    """{label: distance_DW} for one checkout, imported in this process."""
+    """({label: distance_DW}, {d: mean eigen-solves a call}) for one
+    checkout, imported in this process."""
     checkout = Path(checkout).resolve()
     sys.path[:0] = [str(checkout / "src"), str(checkout / "benchmark")]
     from obsphase import OrthDecomposition, distance_DW
     import workloads
 
-    return {
-        label: distance_DW(OrthDecomposition(F), OrthDecomposition(G))
-        for label, F, G in corpus(workloads)
-    }
+    solves = [0]
+
+    def counted(f):
+        def call(*args, **kwargs):
+            solves[0] += 1
+            return f(*args, **kwargs)
+
+        return call
+
+    np.linalg.eig, np.linalg.eigvals = counted(np.linalg.eig), counted(np.linalg.eigvals)
+    out, per_d = {}, {}
+    for label, F, G in corpus(workloads):
+        before = solves[0]
+        out[label] = distance_DW(OrthDecomposition(F), OrthDecomposition(G))
+        per_d.setdefault(len(F), []).append(solves[0] - before)
+    return out, {d: sum(n) / len(n) for d, n in per_d.items()}
 
 
 def child(checkout):
@@ -64,7 +79,7 @@ def child(checkout):
 
 
 def main(before, after):
-    old, new = child(before), child(after)
+    (old, old_solves), (new, new_solves) = child(before), child(after)
     moves = {label: new[label] - old[label] for label in old}
     rose = {k: v for k, v in moves.items() if v > TOL}
     fell = {k: v for k, v in moves.items() if v < -TOL}
@@ -74,6 +89,8 @@ def main(before, after):
     print(f"largest rise {max(moves.values()):.3e}, largest fall {min(moves.values()):.3e}")
     for label in sorted({**rose, **fell}, key=moves.get):
         print(f"  {label}: {old[label]!r} -> {new[label]!r} ({moves[label]:+.3e})")
+    for d in sorted(old_solves, key=int):  # the keys come back from JSON as strings
+        print(f"eigen-solves per call at d = {d}: {old_solves[d]:.1f} -> {new_solves[d]:.1f}")
 
 
 if __name__ == "__main__":

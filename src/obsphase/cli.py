@@ -584,12 +584,10 @@ def main(argv=None):
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (NotCyclicError, NotClosedError, CrossCheckError, DynamicalResidualError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
     except ObsphaseError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+        numerical = (NotCyclicError, NotClosedError, CrossCheckError, DynamicalResidualError)
+        return 3 if isinstance(e, numerical) else 2
     except OSError as e:  # load_scenario turns its own OSError into a ScenarioError
         print(f"error: cannot write output: {e}", file=sys.stderr)
         return 2

@@ -159,18 +159,13 @@ def fiber_contains(U, O: OrthDecomposition, O0: OrthDecomposition):
 
 # -- distance on the observable space ---------------------------------------
 
-# coarse-grid resolution per relative phase at d = 3 and 4, 64 points
-# each (d = 2 needs no grid); beyond, the grid takes the largest count per
-# axis that keeps it at _MAX_GRID points
-_GRID_POINTS = {3: 8, 4: 4}
-_MAX_GRID = 4096
-
-
 def _grid_points(d):
-    if d <= 4:
-        return _GRID_POINTS[d]
+    # the coarse grid's count per relative phase (d = 2 needs no grid):
+    # the largest that keeps it within 64 points at d <= 4 (8 per axis at
+    # d = 3, 4 at d = 4) and 4096 beyond
+    cap = 64 if d <= 4 else 4096
     n = 1
-    while (n + 1) ** (d - 1) <= _MAX_GRID:
+    while (n + 1) ** (d - 1) <= cap:
         n += 1
     return n
 
@@ -231,7 +226,9 @@ def _refine(A, start):
     # Optimization, 2006, ch. 6) with Armijo backtracking, from start,
     # which holds all d phases (only their differences from the first
     # count); it stops when max |grad w| <= 1e-12 or the step shrinks to
-    # 1e-13, and the value at its last point is read through _objective_at
+    # 1e-13, and returns 2 sin(w / 4) with the w its last accepted step's
+    # eig gave (bitwise equal to eigvals' on the 1200 unitaries tried;
+    # another LAPACK build may move the last bit)
     start = np.asarray(start, dtype=float)
     x = start[1:] - start[0]
     w, g = _arc_width(A, x)
@@ -257,7 +254,7 @@ def _refine(A, start):
             Hy = H @ y
             H += ((sy + y @ Hy) * np.outer(s, s) / sy - np.outer(Hy, s) - np.outer(s, Hy)) / sy
         x, w, g = x + s, w1, g1
-    return _objective_at(A, x)
+    return float(2 * np.sin(w / 4))
 
 
 def _phase_grid(d, grid_points):
@@ -290,8 +287,8 @@ def _min_over_phases(A, grid_points, bound):
     thetas = _phase_grid(A.shape[0], grid_points)
     k, value = _grid_min(A, thetas[:, 1:])
     out = min(value, _refine(A, thetas[k]))
-    # refining the aligned point as well can only lower what the grid
-    # start reached
+    # near a gauge copy the grid start can stall at a kink far above the
+    # aligned point; refining that point as well only lowers the result
     if at_aligned < out:
         out = min(out, _refine(A, aligned))
     return out
@@ -330,28 +327,28 @@ def distance_DW(O: OrthDecomposition, O2: OrthDecomposition):
     global phase turns the spectrum of U rigidly, and the best one
     centres on 1 the smallest arc of the unit circle that holds it, so
     for fixed relative phases ||I - U|| = 2 sin(w / 4), w that arc's
-    width. Each pairing first tries the phase-aligned point; if its
-    value is within 1e-12 of the bound it is the pairing's minimum. That
-    holds for a permuted and rephased copy at any d, so such a copy is
-    exact to 1e-12. Otherwise the pairing is refined from the minimum
-    of a grid over the relative phases (8 points per axis at d = 3, 4
-    at d = 4, 64 points each, and beyond that the largest count that
-    keeps the grid at 4096 points or fewer), and again from the
-    phase-aligned point when that lies below the first result. From
-    d = 14 that count is 1, a grid holding only the arbitrary theta = 0,
-    so only the phase-aligned point is refined. The whole grid is read
-    by one batched LAPACK eigen-solve, each point once; its least value
-    (the first on a tie) picks where the refine starts. The refine is a
-    BFGS descent of w with Armijo backtracking. Each step takes w and
-    its gradient from one eigen-solve, since an eigen-angle of U moves
-    with the relative phase theta_n at the rate |V_nj|^2, V the unit
-    eigenvectors. It stops when the gradient is at most 1e-12 or the
-    step at most 1e-13, after 200 steps at the latest, and its value is
-    read at its last point by one eigen-solve: every value returned at
-    d >= 3 is read through LAPACK, and no call loads scipy.optimize.
-    Where eigen-angles tie at an end of the arc, w has a kink and the
-    descent can stall there, short of a local minimum: from d = 14 on it
-    does so on the pairs measured.
+    width. Each pairing first tries the phase-aligned point; if its value
+    is within 1e-12 of the bound it is the pairing's minimum. That holds
+    for a permuted and rephased copy at any d, so such a copy is exact to
+    1e-12. Otherwise the pairing is refined from the minimum of a grid over
+    the relative phases (the largest count per axis that keeps the grid
+    within 64 points at d <= 4, 8 at d = 3 and 4 at d = 4, and within 4096
+    beyond), and again from the phase-aligned point when that lies below
+    the first result: near a gauge copy the first refine can stall at a
+    kink far above it. From d = 14 that count is 1, a grid holding only the
+    arbitrary theta = 0, so only the phase-aligned point is refined. The
+    whole grid is read by one batched LAPACK eigen-solve, each point once;
+    its least value (the first on a tie) picks where the refine starts. The
+    refine is a BFGS descent of w with Armijo backtracking. Each step takes
+    w and its gradient from one eigen-solve, since an eigen-angle of U
+    moves with the relative phase theta_n at the rate |V_nj|^2, V the unit
+    eigenvectors. It stops when the gradient is at most 1e-12 or the step
+    at most 1e-13, after 200 steps at the latest, and returns 2 sin(w / 4)
+    with the w its last accepted step read, so it solves no point twice:
+    every value returned at d >= 3 comes from LAPACK's eigenvalues, and no
+    call loads scipy.optimize. Where eigen-angles tie at an end of the arc,
+    w has a kink and the descent can stall there, short of a local minimum:
+    from d = 14 on it does so on the pairs measured.
 
     For d >= 3 the result is an upper bound in principle, since the
     refinement is local. As measured on 300 Haar pairs at d = 3 and 30

@@ -197,8 +197,13 @@ def _require_solved_from(p, h):
     """Raise CrossCheckError unless h gives p's midpoint samples, to 1e-12
     of their largest entry, at the 9 midpoints spread over the grid that p
     keeps."""
-    k = propagation.spread_steps(p.steps)
     want = p.spread_samples
+    if want is None:
+        raise CrossCheckError(
+            "the propagator keeps no midpoint samples to check the schedule against: "
+            "it was built from given step unitaries, not solved"
+        )
+    k = propagation.spread_steps(p.steps)
     # the midpoints as solve computed them
     gap = np.abs(h.eval(p.grid[k] + p.duration / p.steps / 2) - want).max()
     if not gap <= 1e-12 * np.abs(want).max():

@@ -19,26 +19,25 @@ at 9 spread midpoints, which is all the phase extraction reads: the
 holonomy comes from <f_n|S_k|f_n> in the initial frame (see
 obsphase.bundle), the dynamical integral from <f_n|G|f_n>, since it is
 linear in h (see obsphase.phases), and the cyclicity check from U(T, 0)
-alone. Only the step stack is N long. U(T, 0) is a nested
+alone. Only the step stack is N long. U(T, 0) is a recursive
 sequential fold: the steps are cut into blocks of 16, each block is
 multiplied out in order (all blocks at once, one step position at a
-time), and the block totals are folded the same way, level after level,
-until one product is left. That is 15 batched products per level
-over N/16, N/256, ... matrices, each held as d^2 contiguous entry
-columns, so no LAPACK or BLAS call is made per small matrix. The chunk
-length is a multiple of the block, so no block straddles two chunks,
-and the blocks are those of the whole grid: the fold gives the same
-floats whatever the chunk length. A Propagator built from given step
-unitaries folds them when built; the running products U_k are
-formed only on first access to Propagator.unitaries, by the same fold
-kept at every level: inside a block each prefix is applied to the
-running product coming into the block, and the block ends are the
-running products one level up. So the last of them is final() bit for
-bit. For qubits the step exponentials take a closed form
-(linalg.expm_skew_many). The products are associated differently from
-the sequential U_{k+1} = S_k U_k; on the rotating field that moves U_k
-by rounding only, about 4e-14 at N = 4096 and 1.5e-13 at N = 65536,
-far below the O(dt^2) error.
+time), and the fold recurses on the block totals until one block is
+left. That is 15 batched products per level over N/16, N/256, ...
+matrices, each held as d^2 contiguous entry columns, so no LAPACK or
+BLAS call is made per small matrix. The chunk length is a multiple of
+the block, so no block straddles two chunks, and the blocks are those
+of the whole grid: the fold gives the same floats whatever the chunk
+length. A Propagator built from given step unitaries folds them when
+built; the running products U_k are formed only on first access to
+Propagator.unitaries, by the same recursion: the block ends are the
+running products of the block totals, one level up, and inside a block
+each prefix is applied to the running product coming into the block.
+So the last of them is final() bit for bit. For qubits the step
+exponentials take a closed form (linalg.expm_skew_many). The products
+are associated differently from the sequential U_{k+1} = S_k U_k; on
+the rotating field that moves U_k by rounding only, about 4e-14 at
+N = 4096 and 1.5e-13 at N = 65536, far below the O(dt^2) error.
 """
 
 from functools import cached_property
@@ -76,7 +75,7 @@ class Propagator:
         self.spread_samples = spread_samples
         self.dim = step_unitaries.shape[1]
         if final is None:
-            final = _fold_levels(step_unitaries)[-1][:, :, -1, 0]
+            final = _fold(step_unitaries)
         self._final = final.copy()
 
     @property
@@ -206,14 +205,11 @@ def solve(h: HamiltonianSchedule, T, steps=DEFAULT_STEPS):
         else:
             S[a:b] = U
         block_totals[:, :, a // L : -(-b // L)] = totals
-    top = block_totals
-    if top.shape[-1] > 1:
-        top = _fold_levels(top.transpose(2, 0, 1))[-1][:, :, -1]
     total += weights @ kept[len(spread) :].reshape(len(ends), d * d)
     return Propagator(
         grid,
         S,
-        final=top[:, :, 0],
+        final=_fold(block_totals.transpose(2, 0, 1)),
         integral=dt * total.reshape(d, d),
         spread_samples=kept[: len(spread)],
     )
@@ -262,38 +258,39 @@ def _block_prefixes(S, L):
     return C
 
 
-def _fold_levels(S):
-    """_block_prefixes of S in blocks of min(16, n), of its block totals,
-    and so on, up to the level with a single block, whose total is the
-    product of all of S."""
-    levels = [_block_prefixes(S, min(_BLOCK, len(S)))]
-    while levels[-1].shape[-1] > 1:
-        top = levels[-1][:, :, -1].transpose(2, 0, 1)
-        levels.append(_block_prefixes(top, min(_BLOCK, len(top))))
-    return levels
+def _fold(S):
+    """The product S_{n-1} ... S_0 of a stack S (n, d, d), as (d, d): the
+    totals of its blocks of min(16, n), folded the same way until one
+    block is left."""
+    totals = _block_prefixes(S, min(_BLOCK, len(S)))[:, :, -1]
+    return totals[:, :, 0] if totals.shape[-1] == 1 else _fold(totals.transpose(2, 0, 1))
 
 
 def _prefix_products(S):
     """[I, S_0, S_1 S_0, ..., S_{N-1} ... S_0] in the association of the
-    fold (see the module docstring), so the last is its product bit for
+    fold (see the module docstring), so the last is _fold(S) bit for
     bit."""
-    d = S.shape[-1]
-    levels = _fold_levels(S)
-    counts = [len(S)] + [C.shape[-1] for C in levels[:-1]]
-    P = levels[-1][:, :, -1].transpose(2, 0, 1)
-    for C, n in zip(reversed(levels), reversed(counts)):
-        # P holds the running products over this level's block totals: each
-        # block's prefixes are applied to the product coming into the block,
-        # one step position at a time, and the block ends are P itself
+
+    def running(S):
+        # the same for a stack S (n, d, d), recursing on its block totals
+        n, d = S.shape[0], S.shape[-1]
+        C = _block_prefixes(S, min(_BLOCK, n))
         L, nb = C.shape[2:]
-        incoming = np.ascontiguousarray(P[:-1].transpose(1, 2, 0))
+        # the running products at the block ends: the one block's total,
+        # or those of the block totals, one level up
+        ends = C[:, :, -1].transpose(2, 0, 1)
+        if nb > 1:
+            ends = running(ends)[1:]
+        # each block's prefixes applied to the product coming into it, one
+        # step position at a time
+        incoming = np.ascontiguousarray(ends[:-1].transpose(1, 2, 0))
         for r in range(L - 1):
             C[:, :, r, 1:] = _column_product(C[:, :, r, 1:], incoming)
-        C[:, :, -1] = P.transpose(1, 2, 0)
-        buf = np.empty((1 + nb * L, d, d), dtype=complex)
-        buf[1:].reshape(nb, L, d, d)[:] = C.transpose(3, 2, 0, 1)
-        last, P = P[-1], buf[1 : n + 1]
-        P[-1] = last  # a short last block ends where the level above does
-    buf[0] = np.eye(d)
-    return buf[: len(S) + 1]
+        C[:, :, -1] = ends.transpose(1, 2, 0)
+        P = np.empty((1 + nb * L, d, d), dtype=complex)
+        P[0] = np.eye(d)
+        P[1:].reshape(nb, L, d, d)[:] = C.transpose(3, 2, 0, 1)
+        P[n] = ends[-1]  # a short last block ends where the level above does
+        return P[: n + 1]
 
+    return running(S)

@@ -187,6 +187,21 @@ def test_tabulated_system_requires_schedule_and_observable():
     assert err.value.pointer == "/schedule"
 
 
+def test_bloch_csv_is_refused_for_a_d3_tabulated_deck():
+    H = [[[[float(i == j) * (i + 1), 0.0] for j in range(3)] for i in range(3)]] * 2
+    sc = scenario(
+        system="custom-tabulated",
+        params={},
+        schedule={"times": [0.0, 1.0], "matrices": H},
+        observable=H[0],
+        outputs=["report", "bloch_csv"],
+    )
+    with pytest.raises(ScenarioError) as err:
+        validate_scenario(sc)
+    assert err.value.pointer == "/outputs"
+    assert "bloch_csv is only defined for dimension 2" in str(err.value)
+
+
 def test_tabulated_rejects_non_hermitian_sample():
     mat = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     herm = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]

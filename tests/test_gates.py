@@ -15,7 +15,7 @@ from obsphase.gates import (
 )
 from obsphase.linalg import sigma_x, sigma_z
 from obsphase.phases import geometric_phases
-from obsphase.propagation import solve
+from obsphase.propagation import Propagator, solve
 from support import commutes
 
 
@@ -187,6 +187,15 @@ def test_identity_gate_reads_beta_zero_not_two_pi():
     # wraps to just below 2pi unless the library reads it as 0
     _, _, spec = two_loop_protocol(1.0, 3.0, 2.0, steps=8192)
     assert 0.0 <= spec.beta <= 1e-12
+
+
+def test_a_gate_phase_just_below_zero_reads_beta_zero():
+    # a matched phase of -1e-13 wraps to 2pi - 1e-13, within 1e-12 of 2pi,
+    # so the gate is read as the identity
+    _, report, _ = two_loop_protocol(1.0, 0.0, 2.0, steps=512)
+    p = Propagator(np.array([0.0, 1.0]), (np.exp(-1e-13j) * np.eye(2))[None])
+    _, spec = read_two_loop_gate(p, report, 0.0)
+    assert spec.beta == 0.0
 
 
 def test_a_nan_dynamical_phase_fails_the_cancellation_check():

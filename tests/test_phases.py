@@ -289,6 +289,17 @@ def test_geometric_phases_cross_check_guard():
         geometric_phases(p, wrong_h, rotating_observable(w0, w1, w)[0])
 
 
+def test_a_propagator_built_from_its_steps_is_refused_by_name():
+    # a propagator built from given step unitaries keeps no midpoint
+    # samples, so the schedule cannot be checked against it
+    w0, w1, w = 1.0, 3.0, 2.0
+    h = make_rotating(w0, w1, w)
+    p = solve(h, TWO_PI / w, steps=256)
+    q = propagation.Propagator(p.grid, p.step_unitaries)
+    with pytest.raises(CrossCheckError, match="keeps no midpoint samples"):
+        geometric_phases(q, h, rotating_observable(w0, w1, w)[0])
+
+
 
 def test_a_nan_cross_gap_fails_the_cross_check(monkeypatch):
     # a NaN gap must fail the check, though NaN > tol is False, and the
