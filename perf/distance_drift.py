@@ -3,19 +3,20 @@
     python perf/distance_drift.py <before checkout> <after checkout>
 
 Each checkout's obsphase is imported from <checkout>/src, in a child
-process of its own, and run on one corpus of frame pairs at d = 3 and 4:
+process of its own, and run on one corpus of frame pairs at d = 3 to 8:
 the 12 pairs of the test table of best known values (the first 10
 default_rng(21) pairs at d = 3 and the first 2 default_rng(22) pairs at
 d = 4), the 5 fixed probes of the observable-distance benchmark
 (`workloads.distance_probes` of the checkout's benchmark/), 300 d = 3
-and 60 d = 4 default_rng(2024) pairs, and 300 d = 3 and 100 d = 4
-default_rng(99) pairs: 777 in all. Each (d, seed) draws from a generator
+and 60 d = 4 default_rng(2024) pairs, 300 d = 3 and 100 d = 4
+default_rng(99) pairs, and 40 d = 5, 20 d = 6 and 8 d = 8
+default_rng(2025) pairs: 845 in all. Each (d, seed) draws from a generator
 of its own, and the Haar pairs are drawn as tests/support.py draws them.
 Prints how many values rose, fell or stayed within 1e-13, how many are
 bit-identical, the largest rise and the largest fall, every pair that
 moved by more than 1e-13, and for each checkout the mean number of
 eigen-solves (np.linalg.eig and np.linalg.eigvals calls) a call makes at
-d = 3 and at d = 4.
+each d.
 """
 
 import json
@@ -36,7 +37,8 @@ def haar_frame(rng, d):
 def corpus(workloads):
     """(label, F, G) of every pair, in a fixed order."""
     for d, seed, pairs in ((3, 21, 10), (4, 22, 2), (3, 2024, 300), (4, 2024, 60),
-                           (3, 99, 300), (4, 99, 100)):
+                           (3, 99, 300), (4, 99, 100), (5, 2025, 40), (6, 2025, 20),
+                           (8, 2025, 8)):
         rng = np.random.default_rng(seed)
         for k in range(pairs):
             yield f"rng({seed}) d={d} #{k}", haar_frame(rng, d), haar_frame(rng, d)

@@ -15,10 +15,7 @@ the lift with its holonomy; the next test times one whole solve +
 geometric_phases. The last stage is the observable-space metric,
 distance_DW, on the first Haar pair of default_rng(53), (21) and (22) at
 d = 2, 3 and 4: no propagation; d = 2 is a closed form, and d = 3 and 4
-are all grid, pairing bounds and the BFGS refine. The grid stage times
-the d = 3 and 4 coarse grid alone on the same pairs (their unpermuted
-pairing): one batched LAPACK eigen-solve over 8 (d = 3) or 4 (d = 4)
-points per axis, 64 points each, and the start picked from them.
+are all pairing bounds, aligned points and the BFGS refine.
 pytest-benchmark runs each many times and reports their spread. The
 suite is not collected by the default test run (testpaths = tests).
 """
@@ -42,7 +39,6 @@ from obsphase import (
     sigma_z,
     solve,
 )
-import obsphase.obspace as obspace
 from obsphase.linalg import expm_skew_many
 
 STEPS = 32768
@@ -129,10 +125,3 @@ def _haar_pair(seed, d):
 def test_distance_DW(benchmark, d, seed):
     O, O2 = _haar_pair(seed, d)
     benchmark(distance_DW, O, O2)
-
-
-@pytest.mark.parametrize("d, seed", [(3, 21), (4, 22)], ids=["d3", "d4"])
-def test_distance_grid(benchmark, d, seed):
-    O, O2 = _haar_pair(seed, d)
-    rel = obspace._phase_grid(d, obspace._grid_points(d))[:, 1:]
-    benchmark(obspace._grid_min, O.vectors.conj().T @ O2.vectors, rel)

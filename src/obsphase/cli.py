@@ -196,7 +196,8 @@ _MAX_STACK_BYTES = 256 * 2**20
 def _check_steps(steps, sc):
     """The step rule for a deck's steps and --steps: an integer >= 8 whose
     propagator stack fits in 256 MiB at the deck's dimension. Returns an int."""
-    _want(float(steps).is_integer() and steps >= 8, "/params/steps", "expected an integer >= 8")
+    # int(steps), not float(steps): a --steps beyond 1.8e308 has no float
+    _want(steps == int(steps) and steps >= 8, "/params/steps", "expected an integer >= 8")
     dim = sc["_samples"].shape[1] if "_samples" in sc else 2
     limit = _MAX_STACK_BYTES // (16 * dim * dim) - 1
     _want(

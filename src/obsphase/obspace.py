@@ -159,17 +159,6 @@ def fiber_contains(U, O: OrthDecomposition, O0: OrthDecomposition):
 
 # -- distance on the observable space ---------------------------------------
 
-def _grid_points(d):
-    # the coarse grid's count per relative phase (d = 2 needs no grid):
-    # the largest that keeps it within 64 points at d <= 4 (8 per axis at
-    # d = 3, 4 at d = 4) and 4096 beyond
-    cap = 64 if d <= 4 else 4096
-    n = 1
-    while (n + 1) ** (d - 1) <= cap:
-        n += 1
-    return n
-
-
 def _eig_objective(A, thetas):
     # ||I - U|| for unitary U equals max_j |1 - lambda_j(U)|, and the
     # spectrum of U = P' D P^dag equals that of A D with A = P^dag P'.
@@ -177,7 +166,7 @@ def _eig_objective(A, thetas):
     # centres on 1 the smallest arc holding it, so the value is
     # 2 sin(w / 4) with w that arc's width, from LAPACK's eigenvalues.
     # thetas holds the d - 1 relative phases (theta_0 = 0) over its last
-    # axis, for a stack of points (a whole grid in one call) or a single one
+    # axis, for a stack of points or a single one
     thetas = np.asarray(thetas, dtype=float)
     full = np.concatenate([np.zeros(thetas.shape[:-1] + (1,)), thetas], axis=-1)
     # w is 2 pi less the widest gap between neighbouring eigen-angles, or
@@ -194,8 +183,8 @@ def _objective_at(A, rel):
 
 
 # the refine's descent takes at most this many steps: at d = 3 and 4 it
-# converges in well under 40, and only a stall at a kink of the arc width
-# (seen from d = 14 on) runs to the cap
+# converges within 70, and only a stall at a kink of the arc width (seen
+# from d = 14 on) runs to the cap
 _REFINE_STEPS = 200
 
 
@@ -257,41 +246,16 @@ def _refine(A, start):
     return float(2 * np.sin(w / 4))
 
 
-def _phase_grid(d, grid_points):
-    # the coarse grid, one point of d phases per row: theta_0 = 0 and
-    # grid_points evenly spaced values of each relative phase
-    angles = np.arange(grid_points) * TWO_PI / grid_points
-    mesh = np.meshgrid(np.zeros(1), *([angles] * (d - 1)), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-def _grid_min(A, rel):
-    # the index of the least of the points rel (d - 1 relative phases per
-    # row; the first on a tie) and its value, from one batched eigen-solve:
-    # the float _objective_at gives at that point
-    vals = _eig_objective(A, rel)
-    k = int(np.argmin(vals))
-    return k, float(vals[k])
-
-
-def _min_over_phases(A, grid_points, bound):
+def _min_over_phases(A, bound):
     # the phase-aligned point puts |A_nn| on the diagonal of U; where its
     # value meets the pairing's lower bound it is the minimum (for a gauge
-    # copy at any d), and nothing is searched
+    # copy at any d), and nothing is searched; otherwise the descent starts
+    # there, and the result is never above it
     aligned = -np.angle(np.diag(A))
     at_aligned = _objective_at(A, aligned[1:] - aligned[0])
     if at_aligned <= bound + 1e-12:
         return at_aligned
-    if grid_points == 1:  # only the arbitrary theta = 0 (d >= 14): refine the aligned point
-        return min(at_aligned, _refine(A, aligned))
-    thetas = _phase_grid(A.shape[0], grid_points)
-    k, value = _grid_min(A, thetas[:, 1:])
-    out = min(value, _refine(A, thetas[k]))
-    # near a gauge copy the grid start can stall at a kink far above the
-    # aligned point; refining that point as well only lowers the result
-    if at_aligned < out:
-        out = min(out, _refine(A, aligned))
-    return out
+    return min(at_aligned, _refine(A, aligned))
 
 
 def _greedy_pairing(overlaps):
@@ -316,12 +280,12 @@ def distance_DW(O: OrthDecomposition, O2: OrthDecomposition):
     d = 2 the bound is attained: with the phases that make the diagonal
     of U real positive, its eigenvalues are |A_00| +- i |A_01|. So there
     the distance is the smaller of the two pairings' bounds, taken in
-    closed form from |A| with no eigen-solve and no search. For d >= 3
-    the pairings are visited in ascending bound, and the search stops at
-    the first whose bound is at or above the best value found: no
-    pairing skipped could return less. For d > 4 one pairing is
-    searched, chosen greedily: the largest remaining |A_nm| pairs row n
-    with column m, until every row is used.
+    closed form from |A| with no eigen-solve and no search; at d = 1 the
+    distance is 0. For d >= 3 the pairings are visited in ascending
+    bound, and the search stops at the first whose bound is at or above
+    the best value found: no pairing skipped could return less. For
+    d > 4 one pairing is searched, chosen greedily: the largest remaining
+    |A_nm| pairs row n with column m, until every row is used.
 
     Within a pairing only the d - 1 relative phases are searched. The
     global phase turns the spectrum of U rigidly, and the best one
@@ -330,33 +294,29 @@ def distance_DW(O: OrthDecomposition, O2: OrthDecomposition):
     width. Each pairing first tries the phase-aligned point; if its value
     is within 1e-12 of the bound it is the pairing's minimum. That holds
     for a permuted and rephased copy at any d, so such a copy is exact to
-    1e-12. Otherwise the pairing is refined from the minimum of a grid over
-    the relative phases (the largest count per axis that keeps the grid
-    within 64 points at d <= 4, 8 at d = 3 and 4 at d = 4, and within 4096
-    beyond), and again from the phase-aligned point when that lies below
-    the first result: near a gauge copy the first refine can stall at a
-    kink far above it. From d = 14 that count is 1, a grid holding only the
-    arbitrary theta = 0, so only the phase-aligned point is refined. The
-    whole grid is read by one batched LAPACK eigen-solve, each point once;
-    its least value (the first on a tie) picks where the refine starts. The
-    refine is a BFGS descent of w with Armijo backtracking. Each step takes
-    w and its gradient from one eigen-solve, since an eigen-angle of U
-    moves with the relative phase theta_n at the rate |V_nj|^2, V the unit
-    eigenvectors. It stops when the gradient is at most 1e-12 or the step
-    at most 1e-13, after 200 steps at the latest, and returns 2 sin(w / 4)
-    with the w its last accepted step read, so it solves no point twice:
-    every value returned at d >= 3 comes from LAPACK's eigenvalues, and no
-    call loads scipy.optimize. Where eigen-angles tie at an end of the arc,
-    w has a kink and the descent can stall there, short of a local minimum:
-    from d = 14 on it does so on the pairs measured.
+    1e-12. Otherwise the descent starts from that point, one start rule
+    for every d >= 3, and the pairing returns the smaller of the refined
+    and the aligned value, so no pairing returns more than its aligned
+    value. The refine is a BFGS descent of w with Armijo backtracking.
+    Each step takes w and its gradient from one eigen-solve, since an
+    eigen-angle of U moves with the relative phase theta_n at the rate
+    |V_nj|^2, V the unit eigenvectors. It stops when the gradient is at
+    most 1e-12 or the step at most 1e-13, after 200 steps at the latest,
+    and returns 2 sin(w / 4) with the w its last accepted step read, so
+    it solves no point twice: every value returned at d >= 3 comes from
+    LAPACK's eigenvalues, and no call loads scipy.optimize. Where
+    eigen-angles tie at an end of the arc, w has a kink and the descent
+    can stall there, short of a local minimum: from d = 14 on it does so
+    on the pairs measured.
 
     For d >= 3 the result is an upper bound in principle, since the
-    refinement is local. As measured on 300 Haar pairs at d = 3 and 30
-    at d = 4, it never sits more than 1e-15 above the least value
-    reached by 4 random Nelder-Mead starts per pairing over all d
-    phases, while a
-    grid-and-refine search over all d phases sits above that value on
-    50 and 12 of them (by up to 0.022 and 0.060).
+    descent is local. Against the coarse-grid start this rule replaced,
+    it moved no value by more than 9e-16 on the 845 pairs of
+    perf/distance_drift.py (d = 3 to 8), by no more than 3e-14 on 1982
+    Haar pairs at d = 3 to 10, and by no more than 7e-15 on 1080 near,
+    permuted near, real orthogonal and Fourier-turned pairs at d = 3 to 5.
+    Of 672 gauge copies turned by exp(-i eps H), |H| = 1, eps = 1e-12 to
+    1e-1, d = 3 to 9, none returns more than ||I - exp(-i eps H)||.
     """
     if O.dim != O2.dim:
         raise DimensionMismatchError("decompositions live in different dimensions")
@@ -371,6 +331,8 @@ def distance_DW(O: OrthDecomposition, O2: OrthDecomposition):
     if (kb, O2.vectors.tobytes()) < (ka, O.vectors.tobytes()):
         O, O2 = O2, O
     A = O.vectors.conj().T @ O2.vectors
+    if d == 1:  # one level: the phase that matches it makes U = I
+        return 0.0
     if d == 2:
         # each pairing's bound is its minimum, so the smaller one is the
         # value; 2 - 2|A_nm| is written as pair_bounds below writes it
@@ -390,11 +352,10 @@ def distance_DW(O: OrthDecomposition, O2: OrthDecomposition):
     rest = overlaps**2 @ (1 - np.eye(d))
     pair_bounds = np.sqrt(2 * rest / (1 + overlaps))
     bounds = pair_bounds[np.arange(d), sigmas].max(axis=1).tolist()
-    grid_points = _grid_points(d)
     best = np.inf
     # ascending bound, ties in the order permutations() yields
     for k in np.argsort(bounds, kind="stable"):
         if bounds[k] >= best:
             break
-        best = min(best, _min_over_phases(A[:, sigmas[k]], grid_points, bounds[k]))
+        best = min(best, _min_over_phases(A[:, sigmas[k]], bounds[k]))
     return best

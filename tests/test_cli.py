@@ -129,6 +129,17 @@ def test_main_rejects_oversized_steps_override(tmp_path, monkeypatch, capsys):
     assert "/params/steps" in capsys.readouterr().err
 
 
+def test_main_rejects_a_steps_override_beyond_the_float_range(tmp_path, capsys):
+    path = write_scenario(tmp_path, scenario(params={"mu_B": 1.0, "phi": 0.5}))
+    steps = "1" + "0" * 400
+    for argv in (["run", path], ["sweep", path, "--param", "phi", "--range", "0:1:3"]):
+        assert main(argv + ["--steps", steps]) == 2
+        assert capsys.readouterr().err == (
+            "error: /params/steps: the propagator stack must fit in 256 MiB:"
+            " at most 4194303 steps at d = 2\n"
+        )
+
+
 def test_unknown_system_check_and_output_are_rejected():
     with pytest.raises(ScenarioError):
         validate_scenario(scenario(system="spin-chain"))

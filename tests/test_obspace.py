@@ -290,9 +290,8 @@ def test_bloch_chart():
 
 
 def test_distance_to_own_gauge_copy_is_zero():
-    # a frame against a permuted and rephased copy of itself; started
-    # from the coarse grid alone, the refinement stalls above 0 on the
-    # sixth d = 3 pair and on the first d = 4 pair
+    # a frame against a permuted and rephased copy of itself: the aligned
+    # point meets the pairing's bound, so the value is exact to 1e-12
     for d, pairs in ((3, 6), (4, 1)):
         rng = np.random.default_rng(5)
         for _ in range(pairs):
@@ -314,10 +313,10 @@ def _gauge_pair(rng, d):
 
 def test_a_near_gauge_copy_reaches_its_distance_from_the_aligned_point():
     # a gauge copy turned by exp(-i eps H), |H| = 1: the aligned point is
-    # no longer certified, and the refine from the grid stalls at a kink
-    # far above it (0.011 on the fifth d = 3 pair, 0.055 on the sixth
-    # d = 4 pair); refining the aligned point as well reaches a value at
-    # most that point's and at most ||I - exp(-i eps H)||
+    # no longer certified, and a refine started from a coarse grid minimum
+    # stalled at a kink far above it (0.011 on the fifth d = 3 pair, 0.055
+    # on the sixth d = 4 pair); refining the aligned point reaches a value
+    # at most that point's and at most ||I - exp(-i eps H)||
     for d, pairs, eps in ((3, 5, 1e-9), (4, 6, 1e-10)):
         rng = np.random.default_rng(5)
         for _ in range(pairs):
@@ -335,15 +334,15 @@ def test_a_near_gauge_copy_reaches_its_distance_from_the_aligned_point():
 
 
 def unpruned_distance(O, O2):
-    # every pairing searched in full: grid, its refine and the aligned
-    # refine, with no lower bound to prune on or to certify against
+    # every pairing refined from its aligned point, with no lower bound
+    # to prune on or to certify against
     ka, kb = np.round(O.vectors, 10).tobytes(), np.round(O2.vectors, 10).tobytes()
     if kb < ka:
         O, O2 = O2, O
     A = O.vectors.conj().T @ O2.vectors
     d = O.dim
     return min(
-        obspace._min_over_phases(A[:, list(sigma)], obspace._grid_points(d), -np.inf)
+        obspace._min_over_phases(A[:, list(sigma)], -np.inf)
         for sigma in permutations(range(d))
     )
 
@@ -446,8 +445,7 @@ def _bottleneck_lower_bound(A):
 
 
 @pytest.mark.parametrize("d", [5, 8])
-def test_greedy_pairing_and_bounded_grid_beyond_d4(d):
-    assert obspace._grid_points(d) ** (d - 1) <= 4096 < (obspace._grid_points(d) + 1) ** (d - 1)
+def test_greedy_pairing_beyond_d4(d):
     rng = np.random.default_rng(3)
     for _ in range(2):
         O, O2 = haar_frame(rng, d), haar_frame(rng, d)
@@ -487,10 +485,38 @@ def test_distance_at_or_below_the_best_known_values(d):
         assert D >= _bottleneck_lower_bound(O.vectors.conj().T @ O2.vectors) - 1e-12, k
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([3, 4]),
+    kind=st.sampled_from(["haar", "turned"]),
+    log_eps=st.floats(-10.0, 0.0),
+)
+def test_distance_is_at_most_the_least_aligned_point(seed, d, kind, log_eps):
+    # a Haar pair, or a gauge copy turned by exp(-i eps H), |H| = 1; the
+    # aligned point of pairing sigma makes the diagonal of A_sigma D real
+    # positive, and no pairing returns more than its aligned value
+    rng = np.random.default_rng(seed)
+    if kind == "haar":
+        O, O2 = haar_frame(rng, d), haar_frame(rng, d)
+    else:
+        O, G = _gauge_pair(rng, d)
+        H = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        H = (H + H.conj().T) / 2
+        O2 = OrthDecomposition(expm_skew(H / np.linalg.norm(H, 2), 10.0**log_eps) @ G.vectors)
+    A = O.vectors.conj().T @ O2.vectors
+    aligned = min(
+        np.linalg.norm(np.eye(d) - B * np.exp(-1j * np.angle(np.diag(B))), 2)
+        for B in (A[:, list(sigma)] for sigma in permutations(range(d)))
+    )
+    D = distance_DW(O, O2)
+    assert D <= aligned + 1e-15
+    assert D >= _bottleneck_lower_bound(A) - 1e-12
+
+
 def test_distance_at_d14_refines_from_the_aligned_point():
-    # from d = 14 on the grid holds one point per axis, the arbitrary
-    # theta = 0; refining from there reached 1.7696 on this pair, and the
-    # phase-aligned start alone reaches 1.6796
+    # refining from the arbitrary theta = 0 reached 1.7696 on this pair,
+    # and the phase-aligned start reaches 1.6796
     rng = np.random.default_rng(3)
     O, O2 = _haar_frame(rng, 14), _haar_frame(rng, 14)
     D = distance_DW(O, O2)
@@ -569,12 +595,12 @@ def test_d2_distance_is_the_closed_form_of_the_ordered_pair(kind):
 
 
 # distance_DW on the first 5 default_rng(21) pairs at d = 3 and the first
-# 2 default_rng(22) pairs at d = 4 (haar_frame), bit for bit: the grid,
-# descent and pruning search, which the d = 2 closed form leaves alone
+# 2 default_rng(22) pairs at d = 4 (haar_frame), bit for bit: the aligned
+# start, descent and pruning search, which the d = 2 closed form leaves alone
 PINNED_D3_D4 = {
-    3: (21, ["0x1.175fd9fc38568p-1", "0x1.e9689ae976ff5p-1", "0x1.d474e67365130p-1",
+    3: (21, ["0x1.175fd9fc38569p-1", "0x1.e9689ae976ff5p-1", "0x1.d474e67365130p-1",
              "0x1.d68c77319c6bbp-1", "0x1.e96281c53833ap-1"]),
-    4: (22, ["0x1.ef53c4730f3c1p-1", "0x1.f972c03f329d7p-1"]),
+    4: (22, ["0x1.ef53c4730f3c5p-1", "0x1.f972c03f329dap-1"]),
 }
 
 
@@ -620,12 +646,13 @@ def test_a_refine_makes_at_most_80_eigen_solves(monkeypatch):
 
 
 def _near_degenerate_overlap(seed, d, kind):
-    # a permuted ("monomial") or plain diagonal A with phases on the grid,
-    # so that A D(theta) has double or triple eigenvalues at some grid
-    # points (a diagonal A makes it scalar at one); or a monomial A turned
-    # by exp(i eps H), which splits those roots by about eps
+    # a permuted ("monomial") or plain diagonal A with phases that are
+    # multiples of 2 pi / n, so that A D(theta) has double or triple
+    # eigenvalues at some points of that lattice (a diagonal A makes it
+    # scalar at one); or a monomial A turned by exp(i eps H), which splits
+    # those roots by about eps
     rng = np.random.default_rng(seed)
-    n = obspace._grid_points(d)
+    n = {3: 8, 4: 4}[d]
     perm = np.arange(d) if kind == "diagonal" else rng.permutation(d)
     A = np.eye(d)[:, perm] * np.exp(2j * np.pi / n * rng.integers(0, n, d))
     if kind == "near":

@@ -55,6 +55,19 @@ def test_distance_refines_without_scipy_optimize():
     assert proc.stdout.strip() == "True False"
 
 
+def test_distance_between_one_level_decompositions_is_zero():
+    # in a child process, so that a search that never ends fails by the
+    # timeout instead of hanging the suite
+    proc = run_python(
+        "-c",
+        "import numpy as np\n"
+        "from obsphase import OrthDecomposition, distance_DW\n"
+        "print(distance_DW(OrthDecomposition(np.eye(1)), OrthDecomposition(np.array([[1j]]))))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0.0"
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_script_runs(path):
     proc = run_python(str(path))
