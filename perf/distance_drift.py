@@ -3,15 +3,19 @@
     python perf/distance_drift.py <before checkout> <after checkout>
 
 Each checkout's obsphase is imported from <checkout>/src, in a child
-process of its own, and run on one corpus of frame pairs at d = 3 to 8:
+process of its own, and run on one corpus of frame pairs at d = 3 to 16:
 the 12 pairs of the test table of best known values (the first 10
 default_rng(21) pairs at d = 3 and the first 2 default_rng(22) pairs at
 d = 4), the 5 fixed probes of the observable-distance benchmark
 (`workloads.distance_probes` of the checkout's benchmark/), 300 d = 3
 and 60 d = 4 default_rng(2024) pairs, 300 d = 3 and 100 d = 4
 default_rng(99) pairs, and 40 d = 5, 20 d = 6 and 8 d = 8
-default_rng(2025) pairs: 845 in all. Each (d, seed) draws from a generator
-of its own, and the Haar pairs are drawn as tests/support.py draws them.
+default_rng(2025) pairs, and the 6 default_rng(3) pairs at d = 14, 15,
+16, 14, 15, 16 where the descent stalls at a kink of the arc width: 851
+in all. Each (d, seed) draws from a generator of its own, except that
+the 6 stall pairs share one, and the Haar pairs are drawn as
+tests/support.py draws them (haar_frame, and _haar_frame for the stall
+pairs).
 Prints how many values rose, fell or stayed within 1e-13, how many are
 bit-identical, the largest rise and the largest fall, every pair that
 moved by more than 1e-13, and for each checkout the mean number of
@@ -34,6 +38,12 @@ def haar_frame(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r)))[None, :]
 
 
+def _haar_frame(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * np.exp(-1j * np.angle(np.diag(r)))
+
+
 def corpus(workloads):
     """(label, F, G) of every pair, in a fixed order."""
     for d, seed, pairs in ((3, 21, 10), (4, 22, 2), (3, 2024, 300), (4, 2024, 60),
@@ -42,6 +52,9 @@ def corpus(workloads):
         rng = np.random.default_rng(seed)
         for k in range(pairs):
             yield f"rng({seed}) d={d} #{k}", haar_frame(rng, d), haar_frame(rng, d)
+    rng = np.random.default_rng(3)
+    for k, d in enumerate((14, 15, 16, 14, 15, 16)):
+        yield f"rng(3) d={d} #{k}", _haar_frame(rng, d), _haar_frame(rng, d)
     for name, (d, F, G, *_) in workloads.distance_probes().items():
         yield f"probe {name}", F, G
 

@@ -182,9 +182,8 @@ def _objective_at(A, rel):
     return float(_eig_objective(A, rel))
 
 
-# the refine's descent takes at most this many steps: at d = 3 and 4 it
-# converges within 70, and only a stall at a kink of the arc width (seen
-# from d = 14 on) runs to the cap
+# the refine's descent takes at most this many steps: it ends within 90 on
+# perf/distance_drift.py's d <= 8 pairs; a kink stall (d >= 14) runs to it
 _REFINE_STEPS = 200
 
 
@@ -214,8 +213,10 @@ def _refine(A, start):
     # BFGS descent of the arc width (Nocedal & Wright, Numerical
     # Optimization, 2006, ch. 6) with Armijo backtracking, from start,
     # which holds all d phases (only their differences from the first
-    # count); it stops when max |grad w| <= 1e-12 or the step shrinks to
-    # 1e-13, and returns 2 sin(w / 4) with the w its last accepted step's
+    # count). A step tries lengths t only while -t (g . p) exceeds half an
+    # ulp of max(w, 1) (eig reads a unitary's eigen-angles no finer), and
+    # one that finds no t, as for g = 0, an ascent or a NaN slope, ends the
+    # descent. It returns 2 sin(w / 4) with the w its last accepted step's
     # eig gave (bitwise equal to eigvals' on the 1200 unitaries tried;
     # another LAPACK build may move the last bit)
     start = np.asarray(start, dtype=float)
@@ -223,12 +224,10 @@ def _refine(A, start):
     w, g = _arc_width(A, x)
     H = None
     for _ in range(_REFINE_STEPS):
-        if np.abs(g).max() <= 1e-12:
-            break
         p = -g if H is None else -H @ g
         slope = g @ p
         t = 1.0
-        while np.abs(t * p).max() > 1e-13:
+        while -t * slope > max(w, 1.0) * 2**-53:
             w1, g1 = _arc_width(A, x + t * p)
             if w1 <= w + 1e-4 * t * slope:
                 break
@@ -300,23 +299,24 @@ def distance_DW(O: OrthDecomposition, O2: OrthDecomposition):
     value. The refine is a BFGS descent of w with Armijo backtracking.
     Each step takes w and its gradient from one eigen-solve, since an
     eigen-angle of U moves with the relative phase theta_n at the rate
-    |V_nj|^2, V the unit eigenvectors. It stops when the gradient is at
-    most 1e-12 or the step at most 1e-13, after 200 steps at the latest,
-    and returns 2 sin(w / 4) with the w its last accepted step read, so
-    it solves no point twice: every value returned at d >= 3 comes from
+    |V_nj|^2, V the unit eigenvectors. It ends at the first step with no
+    Armijo-accepted length whose predicted decrease exceeds half an ulp
+    of max(w, 1), the finest w the eigen-angles resolve, or after 200
+    steps, and returns 2 sin(w / 4) with the w its last accepted step
+    read, so it solves no point twice: every value at d >= 3 comes from
     LAPACK's eigenvalues, and no call loads scipy.optimize. Where
     eigen-angles tie at an end of the arc, w has a kink and the descent
     can stall there, short of a local minimum: from d = 14 on it does so
     on the pairs measured.
 
     For d >= 3 the result is an upper bound in principle, since the
-    descent is local. Against the coarse-grid start this rule replaced,
-    it moved no value by more than 9e-16 on the 845 pairs of
-    perf/distance_drift.py (d = 3 to 8), by no more than 3e-14 on 1982
-    Haar pairs at d = 3 to 10, and by no more than 7e-15 on 1080 near,
-    permuted near, real orthogonal and Fourier-turned pairs at d = 3 to 5.
-    Of 672 gauge copies turned by exp(-i eps H), |H| = 1, eps = 1e-12 to
-    1e-1, d = 3 to 9, none returns more than ||I - exp(-i eps H)||.
+    descent is local. Against fixed stopping thresholds (1e-12 on the
+    gradient, 1e-13 on the step) this stop moved no value by more than
+    2.8e-15 on the 851 pairs of perf/distance_drift.py (d = 3 to 16),
+    3e-14 on 1982 Haar pairs at d = 3 to 10 and 1.1e-14 on 1080 near,
+    permuted near, real orthogonal and Fourier-turned pairs at d = 3 to
+    5. Of 672 gauge copies turned by exp(-i eps H), |H| = 1, eps = 1e-12
+    to 1e-1, d = 3 to 9, none returns more than ||I - exp(-i eps H)||.
     """
     if O.dim != O2.dim:
         raise DimensionMismatchError("decompositions live in different dimensions")
