@@ -11,16 +11,22 @@ d = 4), the 5 fixed probes of the observable-distance benchmark
 and 60 d = 4 default_rng(2024) pairs, 300 d = 3 and 100 d = 4
 default_rng(99) pairs, and 40 d = 5, 20 d = 6 and 8 d = 8
 default_rng(2025) pairs, and the 6 default_rng(3) pairs at d = 14, 15,
-16, 14, 15, 16 where the descent stalls at a kink of the arc width: 851
-in all. Each (d, seed) draws from a generator of its own, except that
-the 6 stall pairs share one, and the Haar pairs are drawn as
-tests/support.py draws them (haar_frame, and _haar_frame for the stall
-pairs).
+16, 14, 15, 16 where the descent stalls at a kink of the arc width; and
+60 near gauge copies: at each of d = 3, 4, 5 and eps = 1e-9, 1e-6, 10
+frames F each paired with a permuted, rephased copy of itself turned by
+exp(-i eps H), |H|_2 = 1, drawn from default_rng(6) as
+tests/test_obspace.py draws them (_gauge_pair, then H): 911 in all.
+Each (d, seed) draws from a generator of its own, except that the 6
+stall pairs share one and each (d, eps) of the near copies has its own,
+and the Haar pairs are drawn as tests/support.py draws them (haar_frame,
+and _haar_frame for the stall pairs and the near copies).
 Prints how many values rose, fell or stayed within 1e-13, how many are
 bit-identical, the largest rise and the largest fall, every pair that
 moved by more than 1e-13, and for each checkout the mean number of
 eigen-solves (np.linalg.eig and np.linalg.eigvals calls) a call makes at
-each d.
+each d, with the near gauge copies on a line of their own: their minimum
+lies at w ~ eps, where a stop rule can wander on rounding, and mixed in
+they would move the Haar means.
 """
 
 import json
@@ -57,6 +63,17 @@ def corpus(workloads):
         yield f"rng(3) d={d} #{k}", _haar_frame(rng, d), _haar_frame(rng, d)
     for name, (d, F, G, *_) in workloads.distance_probes().items():
         yield f"probe {name}", F, G
+    for d in (3, 4, 5):
+        for eps in (1e-9, 1e-6):
+            rng = np.random.default_rng(6)
+            for k in range(10):
+                F = _haar_frame(rng, d)
+                G = F[:, rng.permutation(d)] * np.exp(1j * rng.uniform(0, 2 * np.pi, d))
+                H = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                w, V = np.linalg.eigh((H + H.conj().T) / 2)
+                # exp(-i eps H / |H|_2), as tests/support.expm_skew forms it
+                U = (V * np.exp(-1j * eps / np.abs(w).max() * w)) @ V.conj().T
+                yield f"near d={d} eps={eps:g} #{k}", F, U @ G
 
 
 def values(checkout):
@@ -81,8 +98,9 @@ def values(checkout):
     for label, F, G in corpus(workloads):
         before = solves[0]
         out[label] = distance_DW(OrthDecomposition(F), OrthDecomposition(G))
-        per_d.setdefault(len(F), []).append(solves[0] - before)
-    return out, {d: sum(n) / len(n) for d, n in per_d.items()}
+        key = f"near {len(F)}" if label.startswith("near") else str(len(F))
+        per_d.setdefault(key, []).append(solves[0] - before)
+    return out, {key: sum(n) / len(n) for key, n in per_d.items()}
 
 
 def child(checkout):
@@ -104,8 +122,11 @@ def main(before, after):
     print(f"largest rise {max(moves.values()):.3e}, largest fall {min(moves.values()):.3e}")
     for label in sorted({**rose, **fell}, key=moves.get):
         print(f"  {label}: {old[label]!r} -> {new[label]!r} ({moves[label]:+.3e})")
-    for d in sorted(old_solves, key=int):  # the keys come back from JSON as strings
+    haar = sorted((key for key in old_solves if key.isdigit()), key=int)
+    for d in haar:
         print(f"eigen-solves per call at d = {d}: {old_solves[d]:.1f} -> {new_solves[d]:.1f}")
+    near = [f"d = {d} {old_solves[f'near {d}']:.1f} -> {new_solves[f'near {d}']:.1f}" for d in (3, 4, 5)]
+    print("eigen-solves per call on the near gauge copies: " + ", ".join(near))
 
 
 if __name__ == "__main__":

@@ -12,7 +12,9 @@ stack, the stack of running products that a curve reads, one whole solve
 integral of h), the cyclicity check, the dynamical integral (read off
 the integral matrix the solve summed, as a phase report takes it), and
 the lift with its holonomy; the next test times one whole solve +
-geometric_phases. The last stage is the observable-space metric,
+geometric_phases, and the one after it an in-process `obsphase run` of
+the same field and step count that writes the report, curve and Bloch
+files (run_scenario, into a temporary directory). The last stage is the observable-space metric,
 distance_DW, on the first Haar pair of default_rng(53), (21) and (22) at
 d = 2, 3 and 4: no propagation; d = 2 is a closed form, and d = 3 and 4
 are all pairing bounds, aligned points and the BFGS refine.
@@ -39,6 +41,7 @@ from obsphase import (
     sigma_z,
     solve,
 )
+from obsphase.cli import run_scenario, validate_scenario
 from obsphase.linalg import expm_skew_many
 
 STEPS = 32768
@@ -110,6 +113,17 @@ def test_solve_and_phases(benchmark, rotating):
     h, T, X0 = rotating["h"], rotating["T"], rotating["X0"]
     report = benchmark(lambda: geometric_phases(solve(h, T, STEPS), h, X0))
     assert report.cross_residual <= 1e-8
+
+
+def test_curve_run(benchmark, tmp_path):
+    # the phase report, then the lift's unitaries, frames and CSV rows a
+    # piece at a time, each piece written to both files
+    sc = validate_scenario({
+        "schema": 1, "name": "curve", "system": "rotating-field",
+        "params": {"w0": W0, "w1": W1, "w": W, "steps": STEPS},
+        "outputs": ["report", "curve_csv", "bloch_csv"],
+    })
+    benchmark(run_scenario, sc, str(tmp_path))
 
 
 def _haar_pair(seed, d):

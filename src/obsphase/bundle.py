@@ -25,7 +25,9 @@ midpoint-exact for the (diagonal) gauge ODE; the global phase error is
 O(dt^2). The increment depends on the projectors |f_n><f_n| only, so a
 gauge start or another reference frame moves it by rounding alone. The
 holonomy needs U(T, 0) and g_N only; neither the running products U_k
-nor the lift's unitaries are formed unless LiftCurve.unitaries is read.
+nor the lift's unitaries are formed unless they are read, and
+LiftCurve.pieces forms them a piece at a time, so a curve is written
+without either stack.
 """
 
 from dataclasses import dataclass, replace
@@ -67,12 +69,19 @@ class LiftCurve:
     def steps(self):
         return self.propagator.steps
 
+    def pieces(self):
+        """The unitaries, one piece of the propagator's running products at
+        a time (Propagator.pieces)."""
+        a = 0
+        for U in self.propagator.pieces():
+            moved = matmul_stack(np.conj(np.swapaxes(U, 1, 2)), self.frame)
+            moved *= np.exp(1j * self.gauge[a : a + len(U)])[:, None, :]
+            a += len(U)
+            yield matmul_stack(moved, self.reference.vectors.conj().T)
+
     @cached_property
     def unitaries(self):
-        U = self.propagator.unitaries
-        moved = matmul_stack(np.conj(np.swapaxes(U, 1, 2)), self.frame)
-        moved *= np.exp(1j * self.gauge)[:, None, :]
-        return matmul_stack(moved, self.reference.vectors.conj().T)
+        return np.concatenate(list(self.pieces()))
 
 
 def lift_from_propagator(

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import ExitStack
 from functools import cache, partial
 from typing import Callable, NamedTuple
 
@@ -84,19 +85,12 @@ def _fmt(x):
     return "%.12g" % x
 
 
-# CSV rows formatted per call, so the text in memory does not grow with
-# the step count
-_CSV_BLOCK_ROWS = 1024
-
-
-def _write_csv(path, columns, table):
-    """Write a header of column names and one %.12g row per table row."""
+def _write_csv(f, table):
+    """Write one %.12g row per table row to the open file f, formatted in
+    one call: the curve passes a piece of its rows at a time, so the text
+    in memory does not grow with the step count."""
     line = ",".join(["%.12g"] * table.shape[1]) + "\n"
-    with open(path, "w") as f:
-        f.write(", ".join(columns) + "\n")
-        for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[start : start + _CSV_BLOCK_ROWS]
-            f.write(line * len(block) % tuple(block.ravel().tolist()))
+    f.write(line * len(table) % tuple(table.ravel().tolist()))
 
 
 # ---------------------------------------------------------------- validation
@@ -186,10 +180,10 @@ def _check_params(params, system):
 
 # bounds one stack of steps + 1 complex d x d matrices, 16 (steps + 1) d^2
 # bytes (the step unitaries a solved propagator holds), not the run: a report
-# run peaks at 1.7 times it and a run that writes a curve at 6.6 times, with
-# the running products, the lift's unitaries and the curve's columns (run_scenario
-# under tracemalloc, rotating field at 65536 steps: 6.8 and 26.5 MiB against a
-# 4 MiB stack), so about 430 MiB and 1.7 GiB at the cap
+# run and a run that writes a curve, whose rows are formed and written 1024
+# steps at a time, both peak at 1.7 times it (run_scenario under tracemalloc,
+# rotating field at 65536 steps: 6.8 MiB against a 4 MiB stack), so about
+# 430 MiB at the cap
 _MAX_STACK_BYTES = 256 * 2**20
 
 
@@ -388,27 +382,37 @@ def _evolve(sc, steps, tol):
 
 
 def _curve(hor):
-    """Column names and one row per grid point of the horizontal lift
-    hor: time, Bloch coordinates of the lowest-level projector
-    (dimension 2 only), and the running holonomy phases, where one that
-    would print as 2pi is 0."""
-    frames = hor.unitaries @ hor.reference.vectors
-    overlaps = np.einsum("in,kin->kn", frames[0].conj(), frames[1:])
-    running = np.vstack([np.zeros(hor.dim), wrap_angle(np.angle(overlaps))])
-    running[running >= _PRINTS_AS_TWO_PI] = 0.0
-    columns = ["t"]
-    parts = [hor.grid[:, None]]
-    if hor.dim == 2:
-        # <v|S|v> as (v^dag S) v, in that order: an einsum or a summed
-        # product differs from v.conj() @ S @ v in the last bit
-        v = frames[:, :, 0]
-        columns += ["n_x", "n_y", "n_z"]
-        parts += [
-            ((v.conj()[:, None, :] @ S) @ v[:, :, None])[:, 0].real
-            for S in (sigma_x, sigma_y, sigma_z)
-        ]
+    """Column names, and a generator of the rows of the horizontal lift
+    hor, one piece of its unitaries at a time (LiftCurve.pieces): time,
+    Bloch coordinates of the lowest-level projector (dimension 2 only),
+    and the running holonomy phases, where one that would print as 2pi
+    is 0."""
+    columns = ["t"] + ["n_x", "n_y", "n_z"] * (hor.dim == 2)
     columns += [f"beta_running_{n + 1}" for n in range(hor.dim)]
-    return columns, np.hstack(parts + [running])
+
+    def rows():
+        a = 0
+        for unitaries in hor.pieces():
+            frames = unitaries @ hor.reference.vectors
+            if a == 0:
+                start = frames[0].conj()
+            running = wrap_angle(np.angle(np.einsum("in,kin->kn", start, frames)))
+            if a == 0:
+                running[0] = 0.0
+            running[running >= _PRINTS_AS_TWO_PI] = 0.0
+            parts = [hor.grid[a : a + len(frames), None]]
+            if hor.dim == 2:
+                # <v|S|v> as (v^dag S) v, in that order: an einsum or a summed
+                # product differs from v.conj() @ S @ v in the last bit
+                v = frames[:, :, 0]
+                parts += [
+                    ((v.conj()[:, None, :] @ S) @ v[:, :, None])[:, 0].real
+                    for S in (sigma_x, sigma_y, sigma_z)
+                ]
+            a += len(frames)
+            yield np.hstack(parts + [running])
+
+    return columns, rows()
 
 
 def _fill_cnot(report, params):
@@ -459,22 +463,29 @@ def run_scenario(sc, out_dir=".", steps=None, tol=CYCLIC_TOL):
         )
 
     if {"curve_csv", "bloch_csv"} & set(sc["outputs"]):
-        columns, curve = _curve(phase_report.lift)
+        columns, pieces = _curve(phase_report.lift)
 
-    artifacts = []
-    for kind in sc["outputs"]:
-        if kind == "report":
-            path = os.path.join(out_dir, f"{name}-report.json")
-            with open(path, "w") as f:
-                json.dump(report, f, indent=2, sort_keys=True)
-                f.write("\n")
-        elif kind == "curve_csv":
-            path = os.path.join(out_dir, f"{name}-curve.csv")
-            _write_csv(path, columns, curve)
-        else:
-            path = os.path.join(out_dir, f"{name}-bloch.csv")
-            _write_csv(path, columns[:4], curve[:, :4])
-        artifacts.append(path)
+    artifacts, tables = [], []
+    with ExitStack() as files:
+        for kind in sc["outputs"]:
+            if kind == "report":
+                path = os.path.join(out_dir, f"{name}-report.json")
+                with open(path, "w") as f:
+                    json.dump(report, f, indent=2, sort_keys=True)
+                    f.write("\n")
+            else:
+                # the Bloch file holds the curve's time and Bloch columns
+                width = len(columns) if kind == "curve_csv" else 4
+                path = os.path.join(out_dir, f"{name}-{kind.removesuffix('_csv')}.csv")
+                f = files.enter_context(open(path, "w"))
+                f.write(", ".join(columns[:width]) + "\n")
+                tables.append((f, width))
+            artifacts.append(path)
+        # each piece of the curve goes to every CSV file before the next is formed
+        if tables:
+            for table in pieces:
+                for f, width in tables:
+                    _write_csv(f, table[:, :width])
     return artifacts
 
 

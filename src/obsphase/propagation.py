@@ -29,12 +29,15 @@ BLAS call is made per small matrix. The chunk length is a multiple of
 the block, so no block straddles two chunks, and the blocks are those
 of the whole grid: the fold gives the same floats whatever the chunk
 length. A Propagator built from given step unitaries folds them when
-built; the running products U_k are formed only on first access to
-Propagator.unitaries, by the same recursion: the block ends are the
-running products of the block totals, one level up, and inside a block
-each prefix is applied to the running product coming into the block.
-So the last of them is final() bit for bit. For qubits the step
-exponentials take a closed form (linalg.expm_skew_many). The products
+built; the running products U_k are formed only when read, by the same
+recursion: the block ends are the running products of the block
+totals, one level up, and inside a block each prefix is applied to the
+running product coming into the block. So the last of them is final()
+bit for bit. Propagator.pieces forms them 1024 steps at a time, after
+one pass over the N/16 block totals, so a reader that takes one piece
+at a time holds one stack, the steps; Propagator.unitaries joins the
+pieces. For qubits the step exponentials take a closed form
+(linalg.expm_skew_many). The products
 are associated differently from the sequential U_{k+1} = S_k U_k; on
 the rotating field that moves U_k by rounding only, about 4e-14 at
 N = 4096 and 1.5e-13 at N = 65536, far below the O(dt^2) error.
@@ -55,6 +58,10 @@ _BLOCK = 16
 # steps that solve samples, exponentiates, folds and integrates at a time;
 # a multiple of _BLOCK, so no block straddles two chunks
 _CHUNK = 4096
+# steps whose running products Propagator.pieces forms at a time; a
+# multiple of _BLOCK, and a quarter of a chunk, so that a curve's pieces
+# stay small beside the step stack of a deck of a few thousand steps
+_PIECE = 1024
 
 
 class Propagator:
@@ -86,9 +93,15 @@ class Propagator:
     def duration(self):
         return float(self.grid[-1])
 
+    def pieces(self):
+        """The running products U_k = U(t_k, 0), k = 0 ... N, _PIECE steps
+        at a time: U_0 ... U_b for the steps [0, b) of the first piece,
+        then U_{a+1} ... U_b for those [a, b) of each later one."""
+        return _prefix_products(self.step_unitaries)
+
     @cached_property
     def unitaries(self):
-        return _prefix_products(self.step_unitaries)
+        return np.concatenate(list(self.pieces()))
 
     def final(self):
         """U(T, 0): the same floats as unitaries[-1], without forming them."""
@@ -268,29 +281,38 @@ def _fold(S):
 
 def _prefix_products(S):
     """[I, S_0, S_1 S_0, ..., S_{N-1} ... S_0] in the association of the
-    fold (see the module docstring), so the last is _fold(S) bit for
-    bit."""
+    fold (see the module docstring), so the last is _fold(S) bit for bit:
+    a generator of the pieces that Propagator.pieces names."""
 
     def running(S):
-        # the same for a stack S (n, d, d), recursing on its block totals
+        # the same for a stack S (n, d, d), _PIECE steps at a time,
+        # recursing on its block totals
         n, d = S.shape[0], S.shape[-1]
-        C = _block_prefixes(S, min(_BLOCK, n))
-        L, nb = C.shape[2:]
+        L = min(_BLOCK, n)
         # the running products at the block ends: the one block's total,
-        # or those of the block totals, one level up
-        ends = C[:, :, -1].transpose(2, 0, 1)
-        if nb > 1:
-            ends = running(ends)[1:]
-        # each block's prefixes applied to the product coming into it, one
-        # step position at a time
-        incoming = np.ascontiguousarray(ends[:-1].transpose(1, 2, 0))
-        for r in range(L - 1):
-            C[:, :, r, 1:] = _column_product(C[:, :, r, 1:], incoming)
-        C[:, :, -1] = ends.transpose(1, 2, 0)
-        P = np.empty((1 + nb * L, d, d), dtype=complex)
-        P[0] = np.eye(d)
-        P[1:].reshape(nb, L, d, d)[:] = C.transpose(3, 2, 0, 1)
-        P[n] = ends[-1]  # a short last block ends where the level above does
-        return P[: n + 1]
+        # or those of the block totals, one level up, joined (n / L long);
+        # the totals are taken a chunk at a time, as solve takes them
+        ends = np.empty((-(-n // L), d, d), dtype=complex)
+        for a in range(0, n, _CHUNK):
+            C = _block_prefixes(S[a : a + _CHUNK], L)
+            ends[a // L : a // L + C.shape[-1]] = C[:, :, -1].transpose(2, 0, 1)
+        if len(ends) > 1:
+            ends = np.concatenate(list(running(ends)))[1:]
+        for a in range(0, n, _PIECE):
+            b = min(a + _PIECE, n)
+            if n > min(_PIECE, _CHUNK):  # else the one pass above formed them
+                C = _block_prefixes(S[a:b], L)
+            q, nb = a // L, C.shape[-1]
+            # each block's prefixes applied to the product coming into it,
+            # all step positions at once; the first block has none
+            first = int(a == 0)
+            incoming = ends[q + first - 1 : q + nb - 1].transpose(1, 2, 0)[:, :, None]
+            C[:, :, :-1, first:] = _column_product(C[:, :, :-1, first:], incoming)
+            C[:, :, -1] = ends[q : q + nb].transpose(1, 2, 0)
+            P = np.empty((first + b - a, d, d), dtype=complex)
+            P[:first] = np.eye(d)
+            P[first:] = C.transpose(3, 2, 0, 1).reshape(nb * L, d, d)[: b - a]
+            P[-1] = ends[q + nb - 1]  # a short last block ends where the level above does
+            yield P
 
     return running(S)

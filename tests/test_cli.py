@@ -778,8 +778,16 @@ def _tabulated_d3(steps):
         ),
         # d = 3 has no Bloch columns; 14 running phases print as 2pi
         _tabulated_d3(1024),
+        # pieces of 1024, 1024 and 452 steps: the last block is short
+        scenario(
+            system="rotating-field",
+            params={"w0": 1.0, "w1": 3.0, "w": 2.0, "steps": 2500},
+            outputs=["curve_csv", "bloch_csv"],
+        ),
+        # the last piece is 2 steps
+        _tabulated_d3(2050),
     ],
-    ids=["rotating-d2", "tabulated-d3"],
+    ids=["rotating-d2", "tabulated-d3", "rotating-d2-3-pieces", "tabulated-d3-2-step-piece"],
 )
 def test_curve_csv_bytes_match_the_per_row_reference(raw, tmp_path):
     from obsphase.cli import _build_problem
@@ -937,6 +945,28 @@ def test_phases_sweeps_checks_and_reports_form_no_running_products(tmp_path, mon
     curves = dict(checked, outputs=["report", "curve_csv", "bloch_csv"])
     assert main(["run", write_scenario(tmp_path, curves), "--out", str(tmp_path)]) == 0
     assert calls == [1]
+
+
+def test_a_curve_run_holds_one_stack_of_steps(tmp_path):
+    # the curve is formed and written a piece at a time, so a run that
+    # writes both CSV files stays within the bound of a phase report
+    import tracemalloc
+
+    steps = 65536
+    sc = validate_scenario(
+        scenario(
+            system="rotating-field",
+            params={"w0": 1.0, "w1": 3.0, "w": 2.0, "steps": steps},
+            outputs=["report", "curve_csv", "bloch_csv"],
+        )
+    )
+    tracemalloc.start()
+    try:
+        run_scenario(sc, out_dir=str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 16 * steps * 2**2
 
 
 def test_a_match_that_is_no_permutation_is_not_called_one(tmp_path, capsys):
