@@ -14,10 +14,11 @@ the integral matrix the solve summed, as a phase report takes it), and
 the lift with its holonomy; the next test times one whole solve +
 geometric_phases, and the one after it an in-process `obsphase run` of
 the same field and step count that writes the report, curve and Bloch
-files (run_scenario, into a temporary directory). The last stage is the observable-space metric,
-distance_DW, on the first Haar pair of default_rng(53), (21) and (22) at
-d = 2, 3 and 4: no propagation; d = 2 is a closed form, and d = 3 and 4
-are all pairing bounds, aligned points and the BFGS refine.
+files (run_scenario, into a temporary directory). The last stage is the
+observable-space metric, distance_DW, on the first Haar pair of
+default_rng(53), (21) and (22) at d = 2, 3 and 4: no propagation; d = 2
+is a closed form, and d = 3 and 4 are all pairing bounds, aligned
+points and the BFGS refine.
 pytest-benchmark runs each many times and reports their spread. The
 suite is not collected by the default test run (testpaths = tests).
 """

@@ -37,10 +37,10 @@ bit for bit. Propagator.pieces forms them 1024 steps at a time, after
 one pass over the N/16 block totals, so a reader that takes one piece
 at a time holds one stack, the steps; Propagator.unitaries joins the
 pieces. For qubits the step exponentials take a closed form
-(linalg.expm_skew_many). The products
-are associated differently from the sequential U_{k+1} = S_k U_k; on
-the rotating field that moves U_k by rounding only, about 4e-14 at
-N = 4096 and 1.5e-13 at N = 65536, far below the O(dt^2) error.
+(linalg.expm_skew_many). The products are associated differently from
+the sequential U_{k+1} = S_k U_k; on the rotating field that moves U_k
+by rounding only, about 4e-14 at N = 4096 and 1.5e-13 at N = 65536, far
+below the O(dt^2) error.
 """
 
 from functools import cached_property
