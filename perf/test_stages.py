@@ -74,14 +74,15 @@ def test_step_exponentials(benchmark, rotating):
 
 
 def test_prefix_blocks(benchmark, rotating):
-    # building a Propagator folds its steps to U(T, 0), as solve runs it:
-    # 16-step blocks multiplied out, then the fold recursing on their totals
+    # building a Propagator folds its steps to its fold levels, down to
+    # U(T, 0), as solve runs it: 16-step blocks multiplied out, then the
+    # fold recursing on their totals
     benchmark(Propagator, rotating["grid"], step_unitaries=rotating["S"])
 
 
 def test_prefix_apply(benchmark, rotating):
-    # the stack of running products, formed on first access: the same
-    # recursion, whose block ends are the running products of the block
+    # the stack of running products, formed on first access from the
+    # fold levels: the block ends are the running products of the block
     # totals one level up, with each block's prefixes applied to its
     # incoming product
     def fresh():

@@ -181,9 +181,9 @@ def _check_params(params, system):
 # bounds one stack of steps + 1 complex d x d matrices, 16 (steps + 1) d^2
 # bytes (the step unitaries a solved propagator holds), not the run: a report
 # run and a run that writes a curve, whose rows are formed and written 1024
-# steps at a time, both peak at 1.7 times it (run_scenario under tracemalloc,
-# rotating field at 65536 steps: 6.8 MiB against a 4 MiB stack), so about
-# 430 MiB at the cap
+# steps at a time, both peak at 1.76 times it (run_scenario under tracemalloc,
+# rotating field at 65536 steps: 7.0 MiB against a 4 MiB stack), so about
+# 450 MiB at the cap
 _MAX_STACK_BYTES = 256 * 2**20
 
 

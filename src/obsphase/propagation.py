@@ -14,33 +14,34 @@ solve walks the grid in chunks of 4096 steps, and handles each chunk
 while it is in cache: its midpoints are sampled in one call, screened,
 exponentiated into the step stack, folded to their block totals, and
 added into the integral G ~ int_0^T h dt. A propagator is held as its
-step unitaries S_k = U_{k+1} U_k^dag, U(T, 0), the d x d matrix G and h
-at 9 spread midpoints, which is all the phase extraction reads: the
-holonomy comes from <f_n|S_k|f_n> in the initial frame (see
+step unitaries S_k = U_{k+1} U_k^dag, its fold levels, the d x d matrix
+G and h at 9 spread midpoints, which is all the phase extraction reads:
+the holonomy comes from <f_n|S_k|f_n> in the initial frame (see
 obsphase.bundle), the dynamical integral from <f_n|G|f_n>, since it is
-linear in h (see obsphase.phases), and the cyclicity check from U(T, 0)
-alone. Only the step stack is N long. U(T, 0) is a recursive
-sequential fold: the steps are cut into blocks of 16, each block is
-multiplied out in order (all blocks at once, one step position at a
-time), and the fold recurses on the block totals until one block is
+linear in h (see obsphase.phases), and the cyclicity check from U(T, 0),
+the last fold level, alone. Only the step stack is N long. U(T, 0) is a
+recursive sequential fold: the steps are cut into blocks of 16, each
+block is multiplied out in order (all blocks at once, one step position
+at a time), and the fold recurses on the block totals until one block is
 left. That is 15 batched products per level over N/16, N/256, ...
 matrices, each held as d^2 contiguous entry columns, so no LAPACK or
-BLAS call is made per small matrix. The chunk length is a multiple of
-the block, so no block straddles two chunks, and the blocks are those
-of the whole grid: the fold gives the same floats whatever the chunk
-length. A Propagator built from given step unitaries folds them when
-built; the running products U_k are formed only when read, by the same
-recursion: the block ends are the running products of the block
-totals, one level up, and inside a block each prefix is applied to the
-running product coming into the block. So the last of them is final()
-bit for bit. Propagator.pieces forms them 1024 steps at a time, after
-one pass over the N/16 block totals, so a reader that takes one piece
-at a time holds one stack, the steps; Propagator.unitaries joins the
-pieces. For qubits the step exponentials take a closed form
-(linalg.expm_skew_many). The products are associated differently from
-the sequential U_{k+1} = S_k U_k; on the rotating field that moves U_k
-by rounding only, about 4e-14 at N = 4096 and 1.5e-13 at N = 65536, far
-below the O(dt^2) error.
+BLAS call is made per small matrix; the levels, N/15 matrices in all,
+are kept. The chunk length is a multiple of the block, so no block
+straddles two chunks, and the blocks are those of the whole grid: the
+fold gives the same floats whatever the chunk length. A Propagator built
+from given step unitaries folds them when built. The running products
+U_k are formed only when read, from the levels: the block ends are the
+running products of the block totals, one level up, and inside a block
+each prefix is applied to the running product coming into the block. So
+a read multiplies each step into its block's prefixes once, forms no
+block total again, and its last product is final() bit for bit.
+Propagator.pieces forms them 1024 steps at a time, so a reader that
+takes one piece at a time holds one stack, the steps;
+Propagator.unitaries joins the pieces. For qubits the step exponentials
+take a closed form (linalg.expm_skew_many). The products are associated
+differently from the sequential U_{k+1} = S_k U_k; on the rotating field
+that moves U_k by rounding only, about 4e-14 at N = 4096 and 1.5e-13 at
+N = 65536, far below the O(dt^2) error.
 """
 
 from functools import cached_property
@@ -68,22 +69,23 @@ class Propagator:
     """Sampled family U(t_k, 0) on a uniform grid t_0 = 0 ... t_N = T,
     built from the N step unitaries S_k = U_{k+1} U_k^dag.
 
-    solve passes what it read off its midpoint samples h_k on the way:
-    final, U(T, 0) as folded chunk by chunk; integral, the d x d matrix
-    G ~ int_0^T h dt by the end-corrected midpoint rule (see solve); and
-    spread_samples, h_k at the 9 steps spread_steps(N). A propagator
-    built from given step unitaries folds them here and has neither.
+    It keeps the fold levels of the steps (see the module docstring):
+    the totals of their 16-step blocks, (N / 16, d, d), then the totals
+    of each level's blocks in turn, down to U(T, 0), (1, d, d). solve
+    passes what it formed on the way: levels, from the block totals of
+    its chunks; integral, the d x d matrix G ~ int_0^T h dt by the
+    end-corrected midpoint rule (see solve); and spread_samples, h_k at
+    the 9 steps spread_steps(N). A propagator built from given step
+    unitaries folds them here and has neither G nor the samples.
     """
 
-    def __init__(self, grid, step_unitaries, final=None, integral=None, spread_samples=None):
+    def __init__(self, grid, step_unitaries, levels=None, integral=None, spread_samples=None):
         self.grid = grid
         self.step_unitaries = step_unitaries
         self.integral = integral
         self.spread_samples = spread_samples
         self.dim = step_unitaries.shape[1]
-        if final is None:
-            final = _fold(step_unitaries)
-        self._final = final.copy()
+        self._levels = _fold(step_unitaries) if levels is None else levels
 
     @property
     def steps(self):
@@ -97,7 +99,7 @@ class Propagator:
         """The running products U_k = U(t_k, 0), k = 0 ... N, _PIECE steps
         at a time: U_0 ... U_b for the steps [0, b) of the first piece,
         then U_{a+1} ... U_b for those [a, b) of each later one."""
-        return _prefix_products(self.step_unitaries)
+        return _prefix_products(self.step_unitaries, self._levels)
 
     @cached_property
     def unitaries(self):
@@ -105,7 +107,7 @@ class Propagator:
 
     def final(self):
         """U(T, 0): the same floats as unitaries[-1], without forming them."""
-        return self._final.copy()
+        return self._levels[-1][0].copy()
 
 
 def grid_node(t, dt):
@@ -219,10 +221,11 @@ def solve(h: HamiltonianSchedule, T, steps=DEFAULT_STEPS):
             S[a:b] = U
         block_totals[:, :, a // L : -(-b // L)] = totals
     total += weights @ kept[len(spread) :].reshape(len(ends), d * d)
+    totals = block_totals.transpose(2, 0, 1)
     return Propagator(
         grid,
         S,
-        final=_fold(block_totals.transpose(2, 0, 1)),
+        levels=[totals] + (_fold(totals) if len(totals) > 1 else []),
         integral=dt * total.reshape(d, d),
         spread_samples=kept[: len(spread)],
     )
@@ -272,36 +275,32 @@ def _block_prefixes(S, L):
 
 
 def _fold(S):
-    """The product S_{n-1} ... S_0 of a stack S (n, d, d), as (d, d): the
-    totals of its blocks of min(16, n), folded the same way until one
-    block is left."""
-    totals = _block_prefixes(S, min(_BLOCK, len(S)))[:, :, -1]
-    return totals[:, :, 0] if totals.shape[-1] == 1 else _fold(totals.transpose(2, 0, 1))
+    """The fold levels of a stack S (n, d, d): the totals of its blocks of
+    min(16, n), as (n / 16, d, d), then the totals of those, folded the
+    same way, down to the one matrix S_{n-1} ... S_0, as (1, d, d). Each
+    is copied out of the block prefixes, so that those can be freed."""
+    totals = _block_prefixes(S, min(_BLOCK, len(S)))[:, :, -1].transpose(2, 0, 1).copy()
+    return [totals] + (_fold(totals) if len(totals) > 1 else [])
 
 
-def _prefix_products(S):
+def _prefix_products(S, levels):
     """[I, S_0, S_1 S_0, ..., S_{N-1} ... S_0] in the association of the
-    fold (see the module docstring), so the last is _fold(S) bit for bit:
-    a generator of the pieces that Propagator.pieces names."""
+    fold (see the module docstring), so the last is the last fold level
+    bit for bit: a generator of the pieces that Propagator.pieces names."""
 
-    def running(S):
-        # the same for a stack S (n, d, d), _PIECE steps at a time,
-        # recursing on its block totals
+    def running(S, levels):
+        # the same for a stack S (n, d, d) and its fold levels, _PIECE
+        # steps at a time, recursing on its block totals
         n, d = S.shape[0], S.shape[-1]
         L = min(_BLOCK, n)
-        # the running products at the block ends: the one block's total,
-        # or those of the block totals, one level up, joined (n / L long);
-        # the totals are taken a chunk at a time, as solve takes them
-        ends = np.empty((-(-n // L), d, d), dtype=complex)
-        for a in range(0, n, _CHUNK):
-            C = _block_prefixes(S[a : a + _CHUNK], L)
-            ends[a // L : a // L + C.shape[-1]] = C[:, :, -1].transpose(2, 0, 1)
+        # the running products at the block ends (n / L long): the one
+        # block's total, or those of the block totals, one level up, joined
+        ends = levels[0]
         if len(ends) > 1:
-            ends = np.concatenate(list(running(ends)))[1:]
+            ends = np.concatenate(list(running(ends, levels[1:])))[1:]
         for a in range(0, n, _PIECE):
             b = min(a + _PIECE, n)
-            if n > min(_PIECE, _CHUNK):  # else the one pass above formed them
-                C = _block_prefixes(S[a:b], L)
+            C = _block_prefixes(S[a:b], L)
             q, nb = a // L, C.shape[-1]
             # each block's prefixes applied to the product coming into it,
             # all step positions at once; the first block has none
@@ -315,4 +314,4 @@ def _prefix_products(S):
             P[-1] = ends[q + nb - 1]  # a short last block ends where the level above does
             yield P
 
-    return running(S)
+    return running(S, levels)

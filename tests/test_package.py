@@ -153,3 +153,43 @@ def test_every_definition_has_a_caller_besides_the_unit_tests():
         if name not in used
     }
     assert sorted(uncalled) == sorted(UNCALLED_DEFINITIONS)
+
+
+# a method or property that no code outside the tests reaches as an
+# attribute, and why it stays in src/
+UNREACHED_MEMBERS = {
+    # criterion 7 calls it as a method of a schedule (see UNCALLED_DEFINITIONS)
+    "hamiltonians.HamiltonianSchedule.shifted",
+    # the joined pieces, which the tests read whole and the pipeline streams
+    "propagation.Propagator.unitaries",
+    "bundle.LiftCurve.unitaries",
+}
+
+
+def _attributes_read(path):
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_method_is_read_as_an_attribute_besides_the_unit_tests():
+    # a method or property of a src/obsphase class is read as x.name by the
+    # pipeline, the demos or the benchmark: a variable of the same name
+    # (a local, a parameter, a keyword) does not count
+    package = ROOT / "src" / "obsphase"
+    callers = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    callers += [*(ROOT / "demos").rglob("*.py"), *(ROOT / "benchmark").rglob("*.py")]
+    read = set().union(*map(_attributes_read, callers))
+    unreached = {
+        f"{path.stem}.{cls.name}.{member.name}"
+        for path in package.glob("*.py")
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (member.name.startswith("__") and member.name.endswith("__"))
+        and member.name not in read
+    }
+    assert sorted(unreached) == sorted(UNREACHED_MEMBERS)

@@ -250,6 +250,25 @@ def test_a_solve_keeps_its_steps_and_forms_the_running_products_once(monkeypatch
     assert calls == [1]
 
 
+@pytest.mark.parametrize(
+    "drive", [lambda: (make_rotating(1.0, 3.0, 2.0), np.pi), _random_d3_drive], ids=["rotating", "tabulated-d3"]
+)
+def test_the_running_products_read_the_block_totals_solve_formed(monkeypatch, drive):
+    # the pieces fold each step once, into its block's prefixes; the block
+    # ends come from the N/16 totals solve kept, whose own running
+    # products take N/16 + N/256 + ... more: at most 16 N / 15 in all
+    h, T = drive()
+    p = solve(h, T, steps=8192)
+    received = []
+    original = propagation._block_prefixes
+    monkeypatch.setattr(
+        propagation, "_block_prefixes", lambda S, L: received.append(len(S)) or original(S, L)
+    )
+    pieces = list(p.pieces())
+    assert sum(map(len, pieces)) == 8193
+    assert sum(received) <= -(-16 * 8192 // 15)
+
+
 def test_explicit_unitaries_give_their_steps():
     q = exact_rotating_propagator(1.0, 3.0, 2.0, np.pi, steps=64)
     S = q.step_unitaries
