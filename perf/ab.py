@@ -1,6 +1,6 @@
 """Paired A/B timing of two source checkouts, operation by operation.
 
-    python perf/ab.py <checkout A> <checkout B> [--op NAME ...] [--pairs N]
+    python perf/ab.py <checkout A> <checkout B>
 
 Two child processes, one per checkout, each import obsphase from their
 own <checkout>/src and the operations' inputs from their own
@@ -52,9 +52,11 @@ LADDER_STEPS = 32768
 DISTANCE_PAIRS = 8
 # the shortest sample: a faster operation is repeated up to it
 SAMPLE_S = 0.005
-# sessions of fresh children, and untimed pairs per operation at the start of each
+# sessions of fresh children, and untimed and timed pairs per operation
+# in each; the timed pairs are taken in blocks of two, so PAIRS is even
 SESSIONS = 10
 WARMUP = 4
+PAIRS = 20
 
 
 def operations(tree, out):
@@ -130,10 +132,10 @@ def median_interval(logs, rng, draws=4000):
     return np.exp([np.median(logs), *np.percentile(medians, [2.5, 97.5])])
 
 
-def session(trees, first, ops, repeats, warmup, pairs):
-    """Time `pairs` pairs of every operation, after `warmup` untimed ones,
-    on a fresh child process per tree, the one of index `first` started
-    first: {op: (pairs, 2) seconds}. repeats (op -> calls a sample) is
+def session(trees, first, repeats):
+    """Time PAIRS pairs of every operation, after WARMUP untimed ones, on
+    a fresh child process per tree, the one of index `first` started
+    first: {op: (PAIRS, 2) seconds}. repeats (op -> calls a sample) is
     filled in by the first session, from one call on A."""
     sides = []
     try:
@@ -143,18 +145,16 @@ def session(trees, first, ops, repeats, warmup, pairs):
             sides.reverse()
         if sides[0].ops != sides[1].ops:
             raise SystemExit(f"the checkouts name different operations: {sides[0].ops} against {sides[1].ops}")
-        if unknown := set(ops or ()) - set(sides[0].ops):
-            raise SystemExit(f"no operation {sorted(unknown)}; the operations are {sides[0].ops}")
-        ops = ops or sides[0].ops
+        ops = sides[0].ops
         for op in ops:
             repeats.setdefault(op, max(1, math.ceil(SAMPLE_S / sides[0].time(op, 1))))
         times = {op: [] for op in ops}
-        for i in range(warmup + pairs):
+        for i in range(WARMUP + PAIRS):
             for op in ops:
                 pair = [None, None]
                 for s in (i % 2, 1 - i % 2):
                     pair[s] = sides[s].time(op, repeats[op])
-                if i >= warmup:
+                if i >= WARMUP:
                     times[op].append(pair)
     finally:
         for side in sides:
@@ -166,22 +166,15 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("a", type=Path, help="checkout A, the baseline")
     ap.add_argument("b", type=Path, help="checkout B, the change")
-    ap.add_argument("--op", action="append", help="run only these operations (repeatable)")
-    ap.add_argument("--pairs", type=int, default=20, help="timed pairs per operation and session")
     args = ap.parse_args(argv)
-    if args.pairs % 2:
-        ap.error("--pairs must be even: the pairs are taken in blocks of two")
     # this process and the children it starts on one core, so that
     # neither child is the one the scheduler leaves beside another busy
     # process for its whole life
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     repeats = {}
-    runs = [
-        session((args.a, args.b), j % 2, args.op, repeats, WARMUP, args.pairs)
-        for j in range(SESSIONS)
-    ]
+    runs = [session((args.a, args.b), j % 2, repeats) for j in range(SESSIONS)]
     rng = np.random.default_rng(0)
-    print(f"A = {args.a}\nB = {args.b}\n{SESSIONS} sessions of {args.pairs} pairs per operation, "
+    print(f"A = {args.a}\nB = {args.b}\n{SESSIONS} sessions of {PAIRS} pairs per operation, "
           f"each after {WARMUP} warm-up pairs")
     print(f"{'operation':28s} {'A ms':>9s} {'B ms':>9s}  B/A     95 % interval")
     for op in runs[0]:

@@ -85,7 +85,7 @@ class Propagator:
         self.integral = integral
         self.spread_samples = spread_samples
         self.dim = step_unitaries.shape[1]
-        self._levels = _fold(step_unitaries) if levels is None else levels
+        self._levels = _fold(_block_totals(step_unitaries)) if levels is None else levels
 
     @property
     def steps(self):
@@ -221,14 +221,8 @@ def solve(h: HamiltonianSchedule, T, steps=DEFAULT_STEPS):
             S[a:b] = U
         block_totals[:, :, a // L : -(-b // L)] = totals
     total += weights @ kept[len(spread) :].reshape(len(ends), d * d)
-    totals = block_totals.transpose(2, 0, 1)
-    return Propagator(
-        grid,
-        S,
-        levels=[totals] + (_fold(totals) if len(totals) > 1 else []),
-        integral=dt * total.reshape(d, d),
-        spread_samples=kept[: len(spread)],
-    )
+    return Propagator(grid, S, levels=_fold(block_totals.transpose(2, 0, 1)),
+                      integral=dt * total.reshape(d, d), spread_samples=kept[: len(spread)])
 
 
 def _end_corrections(h, T, steps):
@@ -274,13 +268,16 @@ def _block_prefixes(S, L):
     return C
 
 
-def _fold(S):
-    """The fold levels of a stack S (n, d, d): the totals of its blocks of
-    min(16, n), as (n / 16, d, d), then the totals of those, folded the
-    same way, down to the one matrix S_{n-1} ... S_0, as (1, d, d). Each
-    is copied out of the block prefixes, so that those can be freed."""
-    totals = _block_prefixes(S, min(_BLOCK, len(S)))[:, :, -1].transpose(2, 0, 1).copy()
-    return [totals] + (_fold(totals) if len(totals) > 1 else [])
+def _block_totals(S):
+    """The totals of the blocks of min(16, n) of a stack S (n, d, d), as
+    (n / 16, d, d), copied out so that the block prefixes can be freed."""
+    return _block_prefixes(S, min(_BLOCK, len(S)))[:, :, -1].transpose(2, 0, 1).copy()
+
+
+def _fold(totals):
+    """The fold levels of a stack from its block totals: those, then their
+    block totals, and so on down to S_{n-1} ... S_0, as (1, d, d)."""
+    return [totals] + (_fold(_block_totals(totals)) if len(totals) > 1 else [])
 
 
 def _prefix_products(S, levels):

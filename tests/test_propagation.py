@@ -374,6 +374,18 @@ def test_final_is_the_last_running_product_at_every_fold_depth(steps):
         assert np.linalg.norm(unitaries[k + 1] - p.step_unitaries[k] @ unitaries[k]) <= 1e-14
 
 
+
+@pytest.mark.parametrize("steps", [4097, 8193, 65537])
+def test_the_levels_solve_keeps_are_the_fold_of_its_step_stack(steps):
+    # solve folds each chunk's block totals as it goes; a Propagator built
+    # from the same steps folds them whole: several chunks, a short last
+    # one, and the same running products and final() bit for bit
+    for h, T in ((make_rotating(1.0, 3.0, 2.0), np.pi), _random_d3_drive()):
+        p = solve(h, T, steps=steps)
+        q = propagation.Propagator(p.grid, p.step_unitaries)
+        assert np.array_equal(q.final().view(np.uint64), p.final().view(np.uint64))
+        assert np.array_equal(q.unitaries.view(np.uint64), p.unitaries.view(np.uint64))
+
 def test_a_solve_keeps_its_midpoint_samples():
     # the integral of h by the end-corrected midpoint rule on the samples
     # the steps were taken from, and those samples at the 9 spread steps
