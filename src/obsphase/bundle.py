@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import NotClosedError
 from .linalg import frame_diagonals, frame_pairs, matmul_stack
-from .obspace import OrthDecomposition, fiber_contains, match_columns, wrap_angle
+from .obspace import CYCLIC_TOL, OrthDecomposition, fiber_contains, matched_phases
 from .propagation import Propagator, chunks
 
 
@@ -139,7 +139,7 @@ class HolonomyResult:
     min_alignment: float
 
 
-def holonomy(hor: LiftCurve, tol=1e-6):
+def holonomy(hor: LiftCurve, tol=CYCLIC_TOL):
     """Read the geometric phases off the end of a horizontal lift.
 
     The holonomy element in the initial frame is M = f^dag U(T, 0)^dag f
@@ -151,16 +151,11 @@ def holonomy(hor: LiftCurve, tol=1e-6):
     """
     f = hor.frame
     M = (f.conj().T @ hor.propagator.final().conj().T @ f) * np.exp(1j * hor.gauge[-1])
-    perm, amps, ok = match_columns(M, max(tol, 1e-9))
+    betas, perm, amps, ok = matched_phases(M, max(tol, 1e-9))
     if not ok:
         raise NotClosedError(
             "base curve does not close within tolerance: final projectors do "
             f"not match the initial ones one-to-one (worst alignment "
             f"{amps.min():.6f})"
         )
-    betas = wrap_angle(np.angle(M[perm, np.arange(hor.dim)]))
-    return HolonomyResult(
-        betas=betas,
-        permutation=tuple(int(m) for m in perm),
-        min_alignment=float(amps.min()),
-    )
+    return HolonomyResult(betas=betas, permutation=perm, min_alignment=float(amps.min()))

@@ -187,12 +187,17 @@ def _check_params(params, system):
 _MAX_STACK_BYTES = 256 * 2**20
 
 
+def _dim(sc):
+    """A deck's dimension: that of its observable if it gives one, else 2."""
+    return sc["_X0"].shape[0] if "_X0" in sc else 2
+
+
 def _check_steps(steps, sc):
     """The step rule for a deck's steps and --steps: an integer >= 8 whose
     propagator stack fits in 256 MiB at the deck's dimension. Returns an int."""
     # int(steps), not float(steps): a --steps beyond 1.8e308 has no float
     _want(steps == int(steps) and steps >= 8, "/params/steps", "expected an integer >= 8")
-    dim = sc["_samples"].shape[1] if "_samples" in sc else 2
+    dim = _dim(sc)
     limit = _MAX_STACK_BYTES // (16 * dim * dim) - 1
     _want(
         steps <= limit,
@@ -526,7 +531,7 @@ def sweep_scenario(sc, param, values, out_dir=".", steps=None, tol=CYCLIC_TOL):
         _check_params(dict(sc["params"], **{param: float(value)}), sc["system"])
 
     os.makedirs(out_dir, exist_ok=True)
-    dim = sc["_X0"].shape[0] if "_X0" in sc else 2
+    dim = _dim(sc)
 
     path = os.path.join(out_dir, f"{sc['name']}-sweep-{param}.csv")
     header = (
@@ -586,6 +591,9 @@ def main(argv=None):
             _check_steps(args.steps, sc)
         if not (_is_real(args.tol) and args.tol > 0):
             raise ScenarioError("", f"--tol must be positive and finite, got {args.tol:g}")
+        if args.tol >= 1:
+            # an overlap deficit is at most 1, so such a tolerance accepts any match
+            raise ScenarioError("", f"--tol must be below 1, got {args.tol:g}")
         if args.command == "run":
             artifacts = run_scenario(sc, out_dir=args.out, steps=args.steps, tol=args.tol)
         else:

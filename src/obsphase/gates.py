@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import DimensionMismatchError, DynamicalResidualError, NotUnitaryError
 from .hamiltonians import make_rotating, make_two_loop
 from .linalg import is_unitary, sigma_x, sigma_z
-from .obspace import TWO_PI, match_columns, wrap_angle
+from .obspace import TWO_PI, matched_phases, wrap_angle
 from .phases import geometric_phases
 from .propagation import solve
 
@@ -93,8 +93,8 @@ def read_two_loop_gate(p, report, phi):
     """The gate U(2T, 0) of a solved double loop whose phase report must
     show cancelled dynamical phases, and its fitted GateSpec: tilt phi of
     the observable, and beta read from the gate's matched overlaps in the
-    report's observable frame (the same phase reading detect_cyclic
-    uses)."""
+    report's observable frame (obspace.matched_phases, the reading
+    detect_cyclic uses)."""
     worst = float(np.max(np.abs(report.gamma)))
     if not worst <= 1e-6:  # a NaN residual fails too
         raise DynamicalResidualError(
@@ -104,8 +104,7 @@ def read_two_loop_gate(p, report, phi):
     gate = p.final()
     F = report.lift.reference.vectors
     M = F.conj().T @ gate @ F
-    perm, _, _ = match_columns(M, tol=1e-6)
-    beta = float(wrap_angle(np.angle(M[perm[0], 0])))
+    beta = float(matched_phases(M, tol=1e-6)[0][0])
     # rounding can leave the phase of an identity gate at -1e-15, which
     # wraps to just below 2pi; that phase is 0
     if TWO_PI - beta <= 1e-12:

@@ -22,6 +22,8 @@ from .linalg import is_unitary, require_hermitian
 
 TWO_PI = 2 * np.pi
 GAP_TOL = 1e-9
+# the largest overlap deficit 1 - |<f_n|U f_m>| at which a frame counts as returned
+CYCLIC_TOL = 1e-6
 
 # amplitudes within this of the largest count as tied for the phase reference
 _AMP_EPS = 1e-12
@@ -102,6 +104,14 @@ def match_columns(M, tol):
     amps = np.abs(M[perm, np.arange(M.shape[1])])
     ok = bool(len(set(perm.tolist())) == M.shape[1] and np.all(amps >= 1 - tol))
     return perm, amps, ok
+
+
+def matched_phases(M, tol):
+    """match_columns(M, tol) with the phase of each column's matched entry,
+    in [0, 2pi): (phases, perm as a tuple of ints, amps, ok)."""
+    perm, amps, ok = match_columns(M, tol)
+    phases = wrap_angle(np.angle(np.asarray(M)[perm, np.arange(len(perm))]))
+    return phases, tuple(perm.tolist()), amps, ok
 
 
 @dataclass(frozen=True)

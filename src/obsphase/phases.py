@@ -34,10 +34,9 @@ from .errors import CrossCheckError, NotCyclicError
 from .hamiltonians import HamiltonianSchedule, make_quadratic_warp
 from .linalg import frame_diagonals, frame_pairs
 from .obspace import (
-    TWO_PI, GaugeElement, OrthDecomposition, from_observable, match_columns, wrap_angle
+    CYCLIC_TOL, TWO_PI, GaugeElement, OrthDecomposition, from_observable, matched_phases, wrap_angle
 )
 
-CYCLIC_TOL = 1e-6
 CROSS_TOL = 1e-5
 
 
@@ -82,9 +81,7 @@ def detect_cyclic(p: propagation.Propagator, X0, tol=CYCLIC_TOL):
     obs = from_observable(np.asarray(X0, dtype=complex))
     V = p.final().conj().T
     M = obs.vectors.conj().T @ V @ obs.vectors
-    perm, amps, ok = match_columns(M, tol)
-    thetas = wrap_angle(np.angle(M[perm, np.arange(obs.dim)]))
-    matched = tuple(int(m) for m in perm)
+    thetas, matched, amps, ok = matched_phases(M, tol)
     return CyclicityCheck(
         is_cyclic=bool(ok and matched == tuple(range(obs.dim))),
         thetas=thetas,
@@ -140,7 +137,7 @@ def geometric_phases(p: propagation.Propagator, h: HamiltonianSchedule, X0, tol=
     p must come from solve(h, ...): gamma is read off the integral of h
     that the solve took from its midpoint samples. Raises NotCyclic when
     the observable does not return, and CrossCheck when h differs from
-    the propagator's samples at its 9 spread midpoints
+    the propagator's samples (Propagator.require_solved_from)
     or the two routes to beta disagree beyond CROSS_TOL; a
     NotCyclicError carries the failed CyclicityCheck as its check.
     """
@@ -159,7 +156,7 @@ def geometric_phases(p: propagation.Propagator, h: HamiltonianSchedule, X0, tol=
             cyc,
         )
     obs = cyc.frame
-    _require_solved_from(p, h)
+    p.require_solved_from(h)
     gamma = dynamical_phase(obs.vectors, p.integral)
     beta_raw = cyc.thetas - gamma
     beta = wrap_angle(beta_raw)
@@ -191,26 +188,6 @@ def geometric_phases(p: propagation.Propagator, h: HamiltonianSchedule, X0, tol=
         closure_permutation=hol.permutation,
         lift=lift,
     )
-
-
-def _require_solved_from(p, h):
-    """Raise CrossCheckError unless h gives p's midpoint samples, to 1e-12
-    of their largest entry, at the 9 midpoints spread over the grid that p
-    keeps."""
-    want = p.spread_samples
-    if want is None:
-        raise CrossCheckError(
-            "the propagator keeps no midpoint samples to check the schedule against: "
-            "it was built from given step unitaries, not solved"
-        )
-    k = propagation.spread_steps(p.steps)
-    # the midpoints as solve computed them
-    gap = np.abs(h.eval(p.grid[k] + p.duration / p.steps / 2) - want).max()
-    if not gap <= 1e-12 * np.abs(want).max():
-        raise CrossCheckError(
-            f"the schedule differs from the samples the propagator was solved from "
-            f"by up to {gap:.3e} at 9 spread midpoints"
-        )
 
 
 def invariance_residuals(p, h, report: PhaseReport, checks, tol=CYCLIC_TOL):

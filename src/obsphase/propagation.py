@@ -48,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotHermitianError, ScheduleDomainError
+from .errors import CrossCheckError, NotHermitianError, ScheduleDomainError
 from .hamiltonians import HamiltonianSchedule
 from .linalg import expm_skew_many, is_hermitian
 
@@ -109,6 +109,18 @@ class Propagator:
         """U(T, 0): the same floats as unitaries[-1], without forming them."""
         return self._levels[-1][0].copy()
 
+    def require_solved_from(self, h):
+        """Raise CrossCheckError unless h gives the kept midpoint samples, to
+        1e-12 of their largest entry, at the 9 steps spread_steps(N)."""
+        want = self.spread_samples
+        if want is None:
+            raise CrossCheckError("the propagator keeps no midpoint samples to check the schedule "
+                                  "against: it was built from given step unitaries, not solved")
+        gap = np.abs(h.eval(_midpoints(self.grid, spread_steps(self.steps))) - want).max()
+        if not gap <= 1e-12 * np.abs(want).max():
+            raise CrossCheckError(f"the schedule differs from the samples the propagator was solved "
+                                  f"from by up to {gap:.3e} at 9 spread midpoints")
+
 
 def grid_node(t, dt):
     """The index of the uniform grid node (spacing dt) within 1e-9 of a
@@ -127,6 +139,11 @@ def spread_steps(steps):
     """The 9 steps, spread over the grid, whose midpoint samples a solved
     Propagator keeps (spread_samples): the floors of k (steps - 1) / 8."""
     return [k * (steps - 1) // 8 for k in range(9)]
+
+
+def _midpoints(grid, k):
+    """The midpoints of the steps k of a uniform grid, where solve samples h."""
+    return grid[k] + grid[-1] / (len(grid) - 1) / 2
 
 
 def solve(h: HamiltonianSchedule, T, steps=DEFAULT_STEPS):
@@ -179,7 +196,7 @@ def solve(h: HamiltonianSchedule, T, steps=DEFAULT_STEPS):
     block_totals = np.empty((d, d, -(-steps // L)), dtype=complex)
     total = np.zeros(d * d, dtype=complex)
     for a, b in chunks(steps):
-        mids = grid[a:b] + dt / 2
+        mids = _midpoints(grid, slice(a, b))
         H = np.asarray(h.eval(mids), dtype=complex)
         # a matrix product sums the stack faster, and with less rounding,
         # than a reduction along its first axis; read as reals it needs

@@ -540,6 +540,20 @@ def test_main_rejects_non_finite_json_range_and_tolerance(tmp_path, capsys):
     assert main(["run", good, "--out", str(tmp_path), "--tol=1e-5"]) == 0
 
 
+def test_main_rejects_a_tolerance_of_one_or_more(tmp_path, capsys):
+    # an overlap deficit lies in [0, 1], so --tol 1 or more accepts any
+    # match; this evolution misses its cycle by a deficit of 0.053
+    path = write_scenario(tmp_path, scenario(params={"mu_B": 1.0, "phi": 1.0, "T": 5.5, "steps": 1024}))
+    out = tmp_path / "out"
+    for tol in ("1", "2"):
+        for argv in (["run", path], ["sweep", path, "--param", "phi", "--range", "0.5:1.5:3"]):
+            assert main([*argv, "--out", str(out), "--tol", tol]) == 2
+            assert capsys.readouterr().err == f"error: --tol must be below 1, got {tol}\n"
+    assert not out.exists()
+    assert main(["run", path, "--out", str(out), "--tol", "0.06"]) == 0
+    assert 0.05 < read_report(out, "t")["residuals"]["cyclicity"] < 0.06
+
+
 def test_sweep_rejects_an_empty_or_oversized_range_before_allocating(tmp_path, capsys):
     # a trillion values would take 8 TB: the count is checked before the
     # values exist, so this run allocates nothing; no point would write a

@@ -22,6 +22,7 @@ from obsphase.obspace import (
     fiber_contains,
     from_observable,
     match_columns,
+    matched_phases,
 )
 from support import (
     NotGaugeError,
@@ -160,6 +161,32 @@ def test_match_columns():
     H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
     _, _, ok = match_columns(H, tol=1e-2)
     assert not ok
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_matched_phases_reads_a_gauge_element_in_its_frame(d):
+    # the gauge element g = sum_n e^{i theta_n} |f_perm(n)><f_n|, seen in the
+    # frame f, has the one entry e^{i theta_n} in column n, at row perm(n)
+    rng = np.random.default_rng(350 + d)
+    n = np.arange(d)
+    fourier = OrthDecomposition(np.exp(2j * np.pi / d * np.outer(n, n)) / np.sqrt(d))
+    for F in (haar_frame(rng, d), fourier):
+        # angles of every sign, some past 2pi: each comes back in [0, 2pi)
+        g = GaugeElement(perm=tuple(rng.permutation(d).tolist()), phases=tuple(rng.uniform(-7, 7, d)))
+        M = F.vectors.conj().T @ g.in_frame(F) @ F.vectors
+        phases, perm, amps, ok = matched_phases(M, 1e-9)
+        assert ok and perm == g.perm and all(type(m) is int for m in perm)
+        assert np.all((phases >= 0) & (phases < 2 * np.pi))
+        gap = np.abs(phases - np.array(g.phases))
+        assert np.all(np.minimum(gap, 2 * np.pi - gap) < 1e-12)
+        assert np.all(np.abs(amps - 1) < 1e-12)
+
+        shared = M.copy()
+        shared[:, 1] = M[:, 0]  # two columns with one best row
+        assert not matched_phases(shared, 1e-9)[3]
+        blank = M.copy()
+        blank[g.perm[0], 0] = np.nan
+        assert not matched_phases(blank, 1e-9)[3]
 
 
 def test_gauge_element_unitary_and_compose():
